@@ -34,6 +34,7 @@ speedups that ``benchmarks/bench_wallclock.py`` persists to
 
 from __future__ import annotations
 
+import os
 import statistics
 import time
 from typing import Any, Dict, List, Optional, Sequence
@@ -58,8 +59,7 @@ S, Z = omp_spread_start, omp_spread_size
 
 def launch_microbench(plan_cache: bool = True, n: int = 4096,
                       num_devices: int = 4, repeats: int = 30,
-                      launches: int = 5,
-                      macro_ops: Optional[bool] = None) -> Dict[str, Any]:
+                      launches: int = 5) -> Dict[str, Any]:
     """Per-launch host cost of an identical, already-mapped spread kernel.
 
     The program maps both arrays across *num_devices* once, then times
@@ -68,12 +68,10 @@ def launch_microbench(plan_cache: bool = True, n: int = 4096,
     batch captures pure host-side lowering; the untimed ``taskwait``
     between batches drains the simulated devices.  Batch 0 is the cold
     (plan-building) sample; the warm figure is the mean of the rest.
-    ``macro_ops=False`` keeps the plan cache but replays hits through the
-    object path — the ablation arm for the macro-op replay engine.
     """
     rt = OpenMPRuntime(
         topology=cte_power_node(num_devices, memory_bytes=4e9),
-        trace_enabled=False, plan_cache=plan_cache, macro_ops=macro_ops)
+        trace_enabled=False, plan_cache=plan_cache)
     devices = list(range(num_devices))
     A, B = np.arange(float(n)), np.zeros(n)
     vA, vB = Var("A", A), Var("B", B)
@@ -102,7 +100,6 @@ def launch_microbench(plan_cache: bool = True, n: int = 4096,
     warm_mean = statistics.mean(warm) / launches
     return {
         "plan_cache": plan_cache,
-        "macro_ops": rt.macro_ops,
         "n": n,
         "devices": num_devices,
         "repeats": repeats,
@@ -113,7 +110,6 @@ def launch_microbench(plan_cache: bool = True, n: int = 4096,
         "warm_launch_min_s": min(warm) / launches,
         "cache_hits": rt.plan_cache.hits,
         "cache_misses": rt.plan_cache.misses,
-        "macro_compiles": rt.plan_cache.macro_compiles,
         "macro_replays": rt.plan_cache.macro_replays,
     }
 
@@ -121,12 +117,11 @@ def launch_microbench(plan_cache: bool = True, n: int = 4096,
 def end_to_end(plan_cache: bool = True, n_functional: int = 24,
                steps: int = 12, gpus: int = 4,
                workers: Optional[int] = None,
-               macro_ops: Optional[bool] = None,
                fused_timeline: Optional[bool] = None) -> Dict[str, Any]:
     """Wall seconds of a small Somier run (whole stack, trace off).
 
     ``fused_timeline=False`` is the ablation arm for the fused-timeline
-    engine: macro replay stays on but every chunk and section copy runs
+    engine: replay stays on but every chunk and section copy runs
     as a generator process instead of a timeline walker.
     """
     topo, cm = machines.paper_machine(gpus, n_functional=n_functional)
@@ -135,7 +130,7 @@ def end_to_end(plan_cache: bool = True, n_functional: int = 24,
     t0 = time.perf_counter()
     res = run_somier("one_buffer", cfg, devices=machines.paper_devices(gpus),
                      topology=topo, cost_model=cm, trace=False,
-                     plan_cache=plan_cache, macro_ops=macro_ops,
+                     plan_cache=plan_cache,
                      fused_timeline=fused_timeline,
                      workers=workers)
     wall = time.perf_counter() - t0
@@ -150,7 +145,6 @@ def end_to_end(plan_cache: bool = True, n_functional: int = 24,
         "virtual_s": res.elapsed,
         "cache_hits": res.stats["plan_cache_hits"],
         "cache_misses": res.stats["plan_cache_misses"],
-        "macro_compiles": res.stats["macro_compiles"],
         "macro_replays": res.stats["macro_replays"],
         "engine_fused_segments": res.stats["engine_fused_segments"],
         "engine_mean_batch": res.stats["engine_mean_batch"],
@@ -186,8 +180,6 @@ def workers_sweep(workers_list: Sequence[int] = (1, 2, 4),
     single-core host the sweep is expected to be flat rather than
     inverted — ``cpu_count`` is recorded so readers can judge the curve.
     """
-    import os
-
     runs: List[Optional[Dict[str, Any]]] = [None] * len(workers_list)
     for _ in range(max(1, repeats)):
         for i, w in enumerate(workers_list):
@@ -402,13 +394,10 @@ def run_wallclock(n: int = 4096, num_devices: int = 4, repeats: int = 30,
                   sweep_n_functional: int = 96, sweep_steps: int = 4,
                   analyzer_runs: int = 3,
                   timestamp: Optional[str] = None) -> Dict[str, Any]:
-    """The full track: microbench (macro on/off/no-cache) + end-to-end +
-    workers sweep + interval math + analyzer."""
+    """The full track: microbench (cache on/off) + end-to-end + workers
+    sweep + interval math + analyzer."""
     micro_on = launch_microbench(True, n=n, num_devices=num_devices,
                                  repeats=repeats, launches=launches)
-    micro_macro_off = launch_microbench(True, n=n, num_devices=num_devices,
-                                        repeats=repeats, launches=launches,
-                                        macro_ops=False)
     micro_off = launch_microbench(False, n=n, num_devices=num_devices,
                                   repeats=repeats, launches=launches)
     # Interleaved best-of: ambient load varies on multi-second scales, so
@@ -434,10 +423,10 @@ def run_wallclock(n: int = 4096, num_devices: int = 4, repeats: int = 30,
     analyzer = analyzer_overhead(runs=analyzer_runs,
                                  n_functional=n_functional, steps=steps)
     return {
-        "schema": "repro-wallclock-5",
+        "schema": "repro-wallclock-6",
         "timestamp": timestamp,
+        "cpu_count": os.cpu_count(),
         "launch_microbench": {"cache_on": micro_on,
-                              "macro_off": micro_macro_off,
                               "cache_off": micro_off},
         "end_to_end": {"cache_on": e2e_on, "cache_off": e2e_off,
                        "fused_off": e2e_fused_off},
@@ -447,8 +436,6 @@ def run_wallclock(n: int = 4096, num_devices: int = 4, repeats: int = 30,
         "analyzer_overhead": analyzer,
         "warm_launch_speedup":
             micro_off["warm_launch_s"] / micro_on["warm_launch_s"],
-        "warm_macro_speedup":
-            micro_macro_off["warm_launch_s"] / micro_on["warm_launch_s"],
         "end_to_end_speedup": e2e_off["wall_s"] / e2e_on["wall_s"],
         "fused_e2e_speedup": e2e_fused_off["wall_s"] / e2e_on["wall_s"],
     }

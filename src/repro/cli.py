@@ -130,12 +130,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-plan-cache", action="store_true",
                    help="disable spread launch-plan caching (replay); "
                         "every directive takes the full lowering path")
-    p.add_argument("--no-macro-ops", action="store_true",
-                   help="keep the plan cache but disable macro-op replay "
-                        "(compiled flat replay programs for cache hits; "
-                        "default: $REPRO_MACRO_OPS or on)")
     p.add_argument("--no-fused-timeline", action="store_true",
-                   help="keep macro replay but run chunks as generator "
+                   help="keep replay but run chunks as generator "
                         "processes instead of fused timeline walkers "
                         "(default: $REPRO_FUSED_TIMELINE or on)")
     p.add_argument("--workers", type=int, default=None, metavar="N",
@@ -192,9 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data-depend", action="store_true")
     p.add_argument("--fuse-transfers", action="store_true")
     p.add_argument("--no-plan-cache", action="store_true")
-    p.add_argument("--no-macro-ops", action="store_true",
-                   help="disable macro-op replay of plan-cache hits "
-                        "(default: $REPRO_MACRO_OPS or on)")
     p.add_argument("--no-fused-timeline", action="store_true",
                    help="disable fused-timeline walkers "
                         "(default: $REPRO_FUSED_TIMELINE or on)")
@@ -236,9 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data-depend", action="store_true")
     p.add_argument("--fuse-transfers", action="store_true")
     p.add_argument("--no-plan-cache", action="store_true")
-    p.add_argument("--no-macro-ops", action="store_true",
-                   help="disable macro-op replay of plan-cache hits "
-                        "(default: $REPRO_MACRO_OPS or on)")
     p.add_argument("--no-fused-timeline", action="store_true",
                    help="disable fused-timeline walkers "
                         "(default: $REPRO_FUSED_TIMELINE or on)")
@@ -341,7 +331,6 @@ def cmd_somier(args) -> int:
                      fuse_transfers=args.fuse_transfers,
                      trace=args.trace or bool(args.trace_json),
                      plan_cache=not args.no_plan_cache,
-                     macro_ops=False if args.no_macro_ops else None,
                      fused_timeline=(False if args.no_fused_timeline
                                      else None),
                      workers=args.workers,
@@ -410,7 +399,6 @@ def cmd_stats(args) -> int:
                      cost_model=cm, data_depend=args.data_depend,
                      fuse_transfers=args.fuse_transfers,
                      plan_cache=not args.no_plan_cache,
-                     macro_ops=False if args.no_macro_ops else None,
                      fused_timeline=(False if args.no_fused_timeline
                                      else None),
                      workers=args.workers,
@@ -445,7 +433,6 @@ def cmd_analyze(args) -> int:
                      cost_model=cm, data_depend=args.data_depend,
                      fuse_transfers=args.fuse_transfers,
                      plan_cache=not args.no_plan_cache,
-                     macro_ops=False if args.no_macro_ops else None,
                      fused_timeline=(False if args.no_fused_timeline
                                      else None),
                      workers=args.workers,

@@ -28,6 +28,8 @@ metric                              populated from
 ``devices_initialized``             ``device_init``
 ``plan_cache_hits/misses{kind}``    ``plan_cache`` (spread launch-plan
                                     replay vs full lowering)
+``plan_cache_declined{reason}``     ``plan_cache`` (hits that ran the
+                                    generic launcher instead of replaying)
 ``present_memo_hits{device}``       ``data_op`` (present_memo_hit: last-hit
                                     present-table lookups)
 ``executor_epochs``                 ``executor_epoch`` (executed waves of
@@ -143,9 +145,12 @@ class MetricsTool(Tool):
     # -- plan cache ---------------------------------------------------------------
 
     def on_plan_cache(self, *, hit: bool, kind: str = "unknown",
-                      **kw: Any) -> None:
+                      declined: Optional[str] = None, **kw: Any) -> None:
         name = "plan_cache_hits" if hit else "plan_cache_misses"
         self.registry.counter(name, kind=kind).inc()
+        if declined is not None:
+            self.registry.counter("plan_cache_declined",
+                                  reason=declined).inc()
 
     # -- tasks ------------------------------------------------------------------
 

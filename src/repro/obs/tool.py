@@ -33,7 +33,9 @@ Callback points (→ closest OMPT event):
 ``device_init``           ``ompt_callback_device_initialize``
 ``plan_cache``            spread launch-plan cache hit/miss (no OMPT
                           equivalent; analogous to a runtime's launch-state
-                          memoization trace records)
+                          memoization trace records); ``declined`` names
+                          why a hit did not replay (always ``tools`` when
+                          a tool is listening), None on a miss
 ``executor_epoch``        one executed wave of the parallel host backend
                           (no OMPT equivalent; fired synchronously by
                           :mod:`repro.sim.executor`, never touches the

@@ -61,22 +61,6 @@ def resolve_workers(workers: Optional[int]) -> int:
     return workers
 
 
-def resolve_macro_ops(macro_ops: Optional[bool]) -> bool:
-    """Normalize the ``macro_ops`` knob (the macro-op replay engine).
-
-    ``None`` consults the ``REPRO_MACRO_OPS`` environment variable (so CI
-    can force the object path: ``REPRO_MACRO_OPS=0``), defaulting to **on**
-    — replay is bit-identical to the object path and only engages when
-    nothing observable is skipped (see :func:`repro.spread.macro.engaged`).
-    """
-    if macro_ops is None:
-        try:
-            return envknobs.env_flag("REPRO_MACRO_OPS", default=True)
-        except ValueError as err:
-            raise OmpRuntimeError(str(err))
-    return bool(macro_ops)
-
-
 def resolve_fused_timeline(fused_timeline: Optional[bool]) -> bool:
     """Normalize the ``fused_timeline`` knob (the fused-timeline engine).
 
@@ -156,7 +140,6 @@ class OpenMPRuntime:
                  trace_enabled: bool = True,
                  taskgroup_global_drain: bool = True,
                  plan_cache: bool = True,
-                 macro_ops: Optional[bool] = None,
                  fused_timeline: Optional[bool] = None,
                  workers: Optional[int] = None,
                  executor_min_bytes: Optional[int] = None,
@@ -226,16 +209,12 @@ class OpenMPRuntime:
             DeviceDataEnv(dev) for dev in self.devices
         ]
         self.depend = DependTracker()
-        #: spread launch-plan cache (replay of repeated directives);
-        #: ``plan_cache=False`` (CLI ``--no-plan-cache``) forces every
-        #: directive down the full lowering path.
+        #: spread launch-plan cache: each static spread directive is
+        #: lowered once into a macro program (repro.spread.macro) that
+        #: later launches replay; ``plan_cache=False`` (CLI
+        #: ``--no-plan-cache``) lowers every launch afresh.
         self.plan_cache = SpreadPlanCache(enabled=plan_cache)
-        #: macro-op replay engine (repro.spread.macro): cached spread plans
-        #: are compiled to flat programs and replayed by a tight
-        #: interpreter loop.  ``macro_ops=False`` (CLI ``--no-macro-ops``,
-        #: env ``REPRO_MACRO_OPS=0``) forces the object path.
-        self.macro_ops = resolve_macro_ops(macro_ops)
-        #: fused-timeline engine (repro.sim.timeline): macro-replayed
+        #: fused-timeline engine (repro.sim.timeline): replayed
         #: steady-state kernel chunks execute as precomputed virtual-time
         #: walkers instead of generator processes.  ``fused_timeline=False``
         #: (CLI ``--no-fused-timeline``, env ``REPRO_FUSED_TIMELINE=0``)
@@ -349,8 +328,8 @@ class OpenMPRuntime:
 
         The device is flagged so every further operation on it fails fast;
         its present table is purged (resident data is unrecoverable, no
-        copy-backs); and every cached spread plan that routed chunks to it
-        is invalidated.  Spread-level failover
+        copy-backs); and every cached spread program that routed chunks to
+        it is invalidated.  Spread-level failover
         (:mod:`repro.spread.failover`) re-routes the device's remaining
         chunks onto the survivors.
         """
@@ -360,7 +339,7 @@ class OpenMPRuntime:
         self._lost_devices.add(device_id)
         self.devices[device_id].lost = True
         purged = self.dataenvs[device_id].purge()
-        dropped = self.plan_cache.invalidate_device(device_id)
+        dropped = self.plan_cache.invalidate_devices((device_id,))
         tools = self.tools
         if tools:
             tools.dispatch(FAULT_EVENT, kind="device_lost",
@@ -382,9 +361,9 @@ class OpenMPRuntime:
         """Take a whole cluster node out of service (idempotent).
 
         Every device the node hosts is flagged lost and its present table
-        purged; every cached spread plan routing chunks to *any* of them
-        is invalidated in one cache pass
-        (:meth:`~repro.spread.plan_cache.SpreadPlanCache.invalidate_node`).
+        purged; every cached spread program routing chunks to *any* of
+        them is invalidated in one cache pass
+        (:meth:`~repro.spread.plan_cache.SpreadPlanCache.invalidate_devices`).
         Spread-level failover then re-routes the node's whole chunk share
         onto the surviving nodes' devices, chunk by chunk, with the usual
         routing formula.
@@ -404,7 +383,7 @@ class OpenMPRuntime:
             self._lost_devices.add(d)
             self.devices[d].lost = True
             purged += self.dataenvs[d].purge()
-        dropped = self.plan_cache.invalidate_node(node_devs)
+        dropped = self.plan_cache.invalidate_devices(node_devs)
         tools = self.tools
         if tools:
             tools.dispatch(FAULT_EVENT, kind="node_lost", node=node_id,
@@ -436,8 +415,8 @@ class OpenMPRuntime:
         """The interned info dict for a directive kind/name pair.
 
         Allocating no id; pair with :meth:`alloc_directive_id` on paths
-        that resolve the info once and reuse it (macro-op replay caches it
-        on the compiled program).
+        that resolve the info once and reuse it (spread launches cache it
+        on their macro program).
         """
         key = (kind, name)
         info = self._info_memo.get(key)
@@ -450,8 +429,8 @@ class OpenMPRuntime:
         """Allocate the next directive id for a pre-resolved info dict.
 
         Equivalent to :meth:`next_directive_id` with the memo lookup
-        hoisted out — the macro-replay hot path calls this with the info
-        cached on the program.
+        hoisted out — spread launches call this with the info cached on
+        their program.
         """
         self._directive_seq += 1
         did = self._directive_seq

@@ -85,15 +85,23 @@ def kernel_timeline(rt, prog, kernel, cfg) -> Timeline:
 
 def _build_timeline(rt, prog, kernel, cfg) -> Timeline:
     cm = rt.cost_model
-    n = len(prog.records)
+    records = prog.records
+    n = len(records)
     totals = [0.0] * n
     iters = [0.0] * n
     issue = [0.0] * n
-    devices = prog.devices
+    # Per-record device ids and iteration bounds, built here (first fused
+    # use) rather than at lowering: most lowered programs never fuse.
+    devices = np.fromiter((r.device_id for r in records), dtype=np.int32,
+                          count=n)
+    bounds = np.empty((n, 2), dtype=np.int64)
+    for i, r in enumerate(records):
+        bounds[i, 0] = r.lo
+        bounds[i, 1] = r.hi
     for d in np.unique(devices):
         idx = np.flatnonzero(devices == d)
         spec = rt.devices[int(d)].spec
-        it, tot = cm.kernel_batch(spec, prog.bounds[idx],
+        it, tot = cm.kernel_batch(spec, bounds[idx],
                                   num_teams=cfg.num_teams,
                                   threads_per_team=cfg.threads_per_team,
                                   simd=cfg.simd,
@@ -140,6 +148,20 @@ class _Walker(Process):
         self._waiting_on = self
         sim.fused_segments += 1
         sim._schedule_fn(self._on_tick, delay)
+
+    # A finished walker stays reachable (the runtime's task registry keeps
+    # every task), so however it ends — trigger, failure or abort, also at
+    # the end of a fallback/exit-tail generator — it drops its payload
+    # references first; otherwise every device buffer it touched would
+    # outlive the run's use of it.
+
+    def trigger(self, value: Any = None) -> "_Walker":
+        self._release()
+        return Process.trigger(self, value)
+
+    def fail(self, exc: BaseException) -> "_Walker":
+        self._release()
+        return Process.fail(self, exc)
 
 
 class TimelineProc(_Walker):
@@ -215,6 +237,9 @@ class TimelineProc(_Walker):
         self._issue_ts = 0.0
         self._ready_ts = 0.0
         return self
+
+    def _release(self) -> None:
+        self.waits = self.steady = self.kenv = self.held = self.env = None
 
     # -- the walk -----------------------------------------------------------
 
@@ -430,6 +455,9 @@ class _CopyProc(_Walker):
     def _wait(self, req) -> None:
         self._waiting_on = req
         req.add_callback(self._resume)
+
+    def _release(self) -> None:
+        self.src = self.dst = self._snaps = None
 
 
 class CopyH2D(_CopyProc):

@@ -72,7 +72,6 @@ def run_somier(impl: str, config: SomierConfig,
                taskgroup_global_drain: bool = True,
                trace: bool = True,
                plan_cache: bool = True,
-               macro_ops: Optional[bool] = None,
                fused_timeline: Optional[bool] = None,
                workers: Optional[int] = None,
                faults: Optional[str] = None,
@@ -96,11 +95,8 @@ def run_somier(impl: str, config: SomierConfig,
     the program starts; if any is a :class:`MetricsTool`, its snapshot
     lands on ``SomierResult.metrics``.  ``plan_cache=False`` (CLI
     ``--no-plan-cache``) disables spread launch-plan replay.
-    ``macro_ops=False`` (CLI ``--no-macro-ops``) keeps the plan cache but
-    disables compiling cached plans into macro-op replay programs; None
-    consults ``REPRO_MACRO_OPS`` — see :mod:`repro.spread.macro`.
-    ``fused_timeline=False`` (CLI ``--no-fused-timeline``) keeps macro
-    replay but runs every chunk as a generator process instead of a fused
+    ``fused_timeline=False`` (CLI ``--no-fused-timeline``) keeps replay
+    but runs every chunk as a generator process instead of a fused
     timeline walker; None consults ``REPRO_FUSED_TIMELINE`` — see
     :mod:`repro.sim.timeline`.
     ``workers`` (CLI ``--workers``) sizes the parallel host execution
@@ -132,7 +128,7 @@ def run_somier(impl: str, config: SomierConfig,
     rt = OpenMPRuntime(topology=topo, cost_model=cost_model,
                        trace_enabled=trace or analyze is True,
                        taskgroup_global_drain=taskgroup_global_drain,
-                       plan_cache=plan_cache, macro_ops=macro_ops,
+                       plan_cache=plan_cache,
                        fused_timeline=fused_timeline,
                        workers=workers,
                        faults=faults, fault_seed=fault_seed,
@@ -171,8 +167,8 @@ def run_somier(impl: str, config: SomierConfig,
         "tasks": rt.task_count,
         "plan_cache_hits": rt.plan_cache.hits,
         "plan_cache_misses": rt.plan_cache.misses,
-        "macro_compiles": rt.plan_cache.macro_compiles,
         "macro_replays": rt.plan_cache.macro_replays,
+        "replay_declined": dict(rt.plan_cache.replay_declined),
         "workers": rt.workers,
     }
     engine = rt.sim.engine_stats()

@@ -1,68 +1,74 @@
-"""Macro-op replay: the compiled fast path for cached spread plans.
+"""Macro programs: the one cached form of a lowered spread directive.
 
-On a :class:`~repro.spread.plan_cache.SpreadPlanCache` hit the directive
-layer normally re-walks the cached plan and rebuilds the full per-chunk
-object graph — task bodies, wait lists, present-table lookups — on every
-launch.  That object churn is what capped warm launches at ~16k/s.
+A static spread directive is lowered once per structural key (see
+:mod:`repro.spread.plan_cache`) into a :class:`MacroProgram`: an immutable
+tuple of :class:`MacroRecord` objects, one per chunk, each carrying the
+chunk, its concrete map intervals and depend skeleton, its task name, op
+label and (``target update spread``) its concrete to/from sections.  The
+program is the only thing the plan cache stores, and every launch runs it
+one of two ways:
 
-This module compiles a cached plan (once, on first replay) into a flat,
-immutable **macro-op program**: a tuple of slotted records plus parallel
-NumPy arrays of op-kind codes, device ids and byte-interval bounds.  A
-replay then runs a tight interpreter loop over the records:
+* **Replay** — a tight interpreter loop (:func:`replay_exec`,
+  :func:`replay_data`) that skips the per-op object graph:
 
-* present-table resolutions (entry + kernel view per map clause) are cached
-  per record and validated against :attr:`DeviceDataEnv.epoch` — the
-  structural counter the data environment bumps on insert/remove/purge.
-  Unchanged epoch ⟺ every captured entry is still live and still covers the
-  same section, so lookups collapse to one integer compare;
-* all chunk processes of the directive are created deferred and scheduled
-  with a single :meth:`Simulator.schedule_batch` heap transaction (one
-  ``heapq`` push over a reserved sequence range) instead of one push per
-  chunk;
-* per-chunk bookkeeping (task-context children, taskgroup membership,
-  runtime task registries) is batched after the loop.
+  - present-table resolutions (entry + kernel view per map clause) are
+    cached per record and validated against :attr:`DeviceDataEnv.epoch` —
+    the structural counter the data environment bumps on insert/remove/
+    purge.  Unchanged epoch ⟺ every captured entry is still live and still
+    covers the same section, so lookups collapse to one integer compare;
+  - all chunk processes of the directive are created deferred and
+    scheduled with a single :meth:`Simulator.schedule_batch` heap
+    transaction instead of one push per chunk;
+  - per-chunk bookkeeping (task-context children, taskgroup membership,
+    runtime task registries) is batched after the loop.
 
-**Bit identity.** The replay path must be observationally identical to the
-object path: same simulated clock, same trace, same event ordering.  It
+* **The generic launcher** — ``_launch_static``/``_fan_out`` in the
+  directive modules walk the same records through ``submit_spread`` with
+  full per-op bookkeeping, failover routing and sanitizer footprints.  It
+  runs on a cache miss, under ``plan_cache=False``, and on every hit that
+  :func:`decline_reason` declines.
+
+**Bit identity.** Replay must be observationally identical to the generic
+launcher: same simulated clock, same trace, same event ordering.  It
 therefore only engages when nothing can observe the (deliberately skipped)
 per-op bookkeeping: no tools registered, no sanitizer, no fault injector,
-no lost devices and no reductions.  Any of those → the object path runs,
-unchanged.  ``depend`` clauses are replayed through the real
+no lost devices, no reductions, and a well-formed program.  ``depend``
+clauses are replayed through the real
 :class:`~repro.openmp.depend.DependTracker` with ``submit_spread``'s exact
 two-phase protocol (all chunks resolve against the pre-directive frontier,
 then register).  The fast kernel body also re-validates the environment
 epoch *at run time* (the present table can change between submit and run)
 and falls back to the generic :func:`repro.openmp.exec_ops.kernel_op`
-generator when it moved.
-
-``REPRO_MACRO_OPS=0`` (or ``--no-macro-ops``) disables the path globally;
-``tests/spread/test_macro_replay.py`` enforces bit identity against it.
+generator when it moved.  ``tests/spread/test_macro_replay.py`` enforces
+bit identity against ``plan_cache=False`` runs.
 """
 
 from __future__ import annotations
 
-from typing import Generator, List, Optional, Sequence, Tuple
+from typing import Generator, List, Optional, Sequence
 
-import numpy as np
-
+from repro.obs.tool import PLAN_CACHE
 from repro.openmp import exec_ops
-from repro.openmp.depend import compile_deps
+from repro.openmp.depend import compile_deps, concretize_deps
+from repro.openmp.mapping import concretize_section
 from repro.sim import timeline as _timeline
 from repro.sim.engine import Process
-from repro.util.intervals import batch_widths, pack_intervals
 
-# Op-kind codes for the flat program arrays.
+# Op kinds of a record.
 OP_KERNEL = 0
 OP_ENTER = 1
 OP_EXIT = 2
 OP_UPDATE = 3
 
-KIND_NAMES = {OP_KERNEL: "kernel", OP_ENTER: "enter", OP_EXIT: "exit",
-              OP_UPDATE: "update"}
-
 
 class MacroRecord:
-    """One lowered chunk op of a macro program.
+    """One chunk op of a lowered spread directive.
+
+    ``maps`` holds ``(MapClause, Interval)`` pairs concretized for the
+    chunk, ``deps`` the concretized dependence skeleton and ``extra`` the
+    concrete ``(to, from)`` section lists of a ``target update spread``.
+    ``device_id``/``lo``/``hi``/``chunk_index`` are read off the chunk
+    once, at lowering, for the replay loop.
 
     ``steady`` caches the present-table resolution for the record's device:
     ``(epoch, held, kenv, found)`` where ``held`` is the per-clause
@@ -74,144 +80,183 @@ class MacroRecord:
     before every use.
     """
 
-    __slots__ = ("kind", "device_id", "lo", "hi", "maps", "deps", "name",
-                 "label", "chunk_index", "extra", "steady")
+    __slots__ = ("kind", "chunk", "device_id", "lo", "hi", "chunk_index",
+                 "maps", "deps", "name", "label", "extra", "steady")
 
-    def __init__(self, kind: int, device_id: int, lo: int, hi: int,
-                 maps, deps, name: str, label: str, chunk_index: int,
+    def __init__(self, kind: int, chunk, maps, deps, name: str, label: str,
                  extra=None) -> None:
         self.kind = kind
-        self.device_id = device_id
-        self.lo = lo
-        self.hi = hi
+        self.chunk = chunk
+        self.device_id = chunk.device
+        self.lo = chunk.interval.start
+        self.hi = chunk.interval.stop
+        self.chunk_index = chunk.index
         self.maps = maps
         self.deps = deps
         self.name = name
         self.label = label
-        self.chunk_index = chunk_index
         self.extra = extra
         self.steady = None
 
 
 class MacroProgram:
-    """A compiled directive: records plus flat parallel arrays.
+    """A lowered spread directive: records plus what launching them needs.
 
-    The arrays carry the structural facts of the program — op kinds, target
-    devices, iteration/section bounds and the CSR-packed concrete map
-    intervals — so whole-program checks are single vectorized passes
-    instead of per-op Python loops.
+    ``devices`` is the device list failover routes over (the validated
+    ``devices`` clause of an executable directive, the distinct chunk
+    devices of a data directive) — a superset of the devices its chunks
+    (and its region end's) run on.  ``chunks`` is the chunk tuple a
+    :class:`~repro.spread.spread_target.SpreadHandle` reports, ``anchor``
+    pins the kernel whose ``id()`` is part of the cache key (so the key can
+    never alias a recycled id) and ``end`` holds the closing half of a
+    ``target data spread`` region.  ``replayable`` is the
+    :meth:`well_formed` verdict, taken once at lowering.
     """
 
-    __slots__ = ("records", "kinds", "devices", "bounds", "map_bounds",
-                 "map_index", "total_bytes", "info", "timeline", "dep_plan")
+    __slots__ = ("records", "devices", "chunks", "anchor", "end",
+                 "replayable", "info", "timeline", "dep_plan")
 
-    def __init__(self, records: Sequence[MacroRecord]) -> None:
-        self.records: Tuple[MacroRecord, ...] = tuple(records)
-        # memoized directive-info dict (runtime.directive_info_for), filled
-        # in by the directive layer on first replay
+    def __init__(self, records: Sequence[MacroRecord], devices, chunks,
+                 anchor=None, end: Optional["MacroProgram"] = None) -> None:
+        self.records = tuple(records)
+        self.devices = tuple(devices)
+        self.chunks = tuple(chunks)
+        self.anchor = anchor
+        self.end = end
+        self.replayable = self.well_formed() and (end is None
+                                                  or end.replayable)
+        # memoized directive-info dict (runtime.directive_info_for)
         self.info = None
         # lazy per-launch-shape fused timelines (repro.sim.timeline) and the
         # flattened depend clauses (False = program has none)
         self.timeline = None
         self.dep_plan = None
-        n = len(self.records)
-        self.kinds = np.fromiter((r.kind for r in self.records),
-                                 dtype=np.int8, count=n)
-        self.devices = np.fromiter((r.device_id for r in self.records),
-                                   dtype=np.int32, count=n)
-        self.bounds = np.empty((n, 2), dtype=np.int64)
-        for i, r in enumerate(self.records):
-            self.bounds[i, 0] = r.lo
-            self.bounds[i, 1] = r.hi
-        flat = [iv for r in self.records for _c, iv in r.maps]
-        self.map_bounds = pack_intervals(flat)
-        counts = np.fromiter((len(r.maps) for r in self.records),
-                             dtype=np.int64, count=n)
-        self.map_index = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=self.map_index[1:])
-        self.total_bytes = int(batch_widths(self.map_bounds).sum()) \
-            if len(flat) else 0
-
-    def __len__(self) -> int:
-        return len(self.records)
 
     def well_formed(self) -> bool:
-        """Vectorized structural validation over the whole program."""
-        if len(self.records) == 0:
-            return True
-        if not bool(np.all(self.bounds[:, 0] <= self.bounds[:, 1])):
-            return False
-        if self.map_bounds.shape[0] and not bool(
-                np.all(self.map_bounds[:, 0] < self.map_bounds[:, 1])):
-            return False
-        return bool(np.all(self.devices >= 0))
+        """Structural validation: ordered bounds, non-empty map sections,
+        non-negative devices."""
+        for rec in self.records:
+            if rec.lo > rec.hi or rec.device_id < 0:
+                return False
+            for _clause, interval in rec.maps:
+                if interval.start >= interval.stop:
+                    return False
+        return True
 
 
 # ---------------------------------------------------------------------------
-# engagement + compilation
+# lowering
 # ---------------------------------------------------------------------------
 
-def engaged(rt) -> bool:
-    """True when the replay path is observationally safe to use.
+def concretize_maps(maps, chunk):
+    """``(clause, interval)`` pairs of *maps* evaluated for *chunk*."""
+    start, size = chunk.start, chunk.size
+    return tuple([(clause, concretize_section(clause.var, clause.section,
+                                              spread_start=start,
+                                              spread_size=size))
+                  for clause in maps])
+
+
+def lower(kind: int, chunks, maps, depends, name: str, label: str,
+          devices, anchor=None, end: Optional[MacroProgram] = None
+          ) -> MacroProgram:
+    """Lower a static spread directive over *chunks* to its program.
+
+    Each record is named ``<name>#<chunk index>@<device>`` and labelled
+    ``<label>@<device>``.
+    """
+    records = []
+    for chunk in chunks:
+        deps = (tuple(concretize_deps(depends, spread_start=chunk.start,
+                                      spread_size=chunk.size))
+                if depends else ())
+        device = chunk.device
+        records.append(MacroRecord(
+            kind, chunk, concretize_maps(maps, chunk), deps,
+            f"{name}#{chunk.index}@{device}", f"{label}@{device}"))
+    return MacroProgram(records, devices, chunks, anchor=anchor, end=end)
+
+
+# ---------------------------------------------------------------------------
+# the cached launch form
+# ---------------------------------------------------------------------------
+
+def decline_reason(rt, prog: Optional[MacroProgram] = None,
+                   reductions=()) -> Optional[str]:
+    """None when replaying *prog* is observationally safe, else why not.
 
     Tools, the sanitizer and the fault injector all observe (or perturb)
-    per-op bookkeeping the fast path skips; lost devices make cached
-    resolutions meaningless.  Any of them present → object path.
+    per-op bookkeeping replay skips; lost devices make cached resolutions
+    meaningless; reductions stage per-chunk partials replay does not
+    model; a program that failed :meth:`MacroProgram.well_formed` is
+    never replayed.
     """
-    return (rt.macro_ops and not rt.tools and rt.sanitizer is None
-            and rt.fault_injector is None and not rt._lost_devices)
+    if rt.tools:
+        return "tools"
+    if rt.sanitizer is not None:
+        return "sanitizer"
+    if rt.fault_injector is not None:
+        return "faults"
+    if rt._lost_devices:
+        return "lost_device"
+    if reductions:
+        return "reduction"
+    if prog is not None and not prog.replayable:
+        return "unreplayable"
+    return None
 
 
-def _compile(plan, kind: int, label_of, extra_of=None) -> Optional[MacroProgram]:
-    records = []
-    for cp in plan.chunk_plans:
-        chunk = cp.chunk
-        lo = chunk.start if kind == OP_KERNEL else chunk.interval.start
-        records.append(MacroRecord(
-            kind, chunk.device, lo, chunk.interval.stop, cp.maps,
-            tuple(cp.deps), cp.name, cp.label or label_of(chunk),
-            chunk.index, extra=extra_of(cp) if extra_of is not None else None))
-    prog = MacroProgram(records)
-    return prog if prog.well_formed() else None
+def cached(rt, kind: str, key, lower_fn, reductions=()):
+    """The directive's program and whether to replay it: ``(prog, replay)``.
 
-
-def compile_exec(plan) -> Optional[MacroProgram]:
-    """Compile a ``target spread`` execution plan (kernel per chunk)."""
-    return _compile(plan, OP_KERNEL, lambda c: f"spread@{c.device}")
-
-
-def compile_data(plan, kind: int, label: str) -> Optional[MacroProgram]:
-    """Compile an enter/exit data plan; *label* matches the object path's
-    op labels (e.g. ``enter-spread`` → ``enter-spread@<dev>``)."""
-    return _compile(plan, kind, lambda c: f"{label}@{c.device}")
-
-
-def compile_update(plan) -> Optional[MacroProgram]:
-    """Compile a ``target update spread`` plan (sections in ``extra``)."""
-    return _compile(plan, OP_UPDATE, lambda c: f"update-spread@{c.device}",
-                    extra_of=lambda cp: cp.extra)
-
-
-def program_for(cache, cell, compile_fn):
-    """Cached program from a plan-cache *cell*, compiling on first use.
-
-    The cell is the ``[plan, macro_state]`` pair
-    :meth:`SpreadPlanCache.lookup` returned for the directive's key, so no
-    second key hash is paid.  Uncompilable plans leave a ``False`` sentinel
-    in the cell so the compile attempt is not repeated on every hit.
-    Returns None when the object path must run.
+    A hit returns the cached program; a miss (or an uncacheable key, or
+    ``plan_cache=False``) calls *lower_fn* — which validates and lowers —
+    and stores the result.  Misses never replay.  A hit replays unless
+    :func:`decline_reason` declines, which is counted per reason.  The
+    ``plan_cache`` tool callback fires for every cacheable lookup.
     """
-    prog = cell[1]
+    cache = rt.plan_cache
+    prog = cache.lookup(key)
     if prog is None:
-        prog = compile_fn()
-        cell[1] = prog if prog is not None else False
-        if prog is None:
-            return None
-        cache.macro_compiles += 1
-    elif prog is False:
-        return None
-    cache.macro_replays += 1
-    return prog
+        prog = lower_fn()
+        cache.store(key, prog)
+        if key is not None and rt.tools:
+            rt.tools.dispatch(PLAN_CACHE, kind=kind, hit=False,
+                              declined=None, time=rt.sim.now)
+        return prog, False
+    reason = decline_reason(rt, prog, reductions)
+    if reason is None:
+        cache.macro_replays += 1
+        return prog, True
+    declined = cache.replay_declined
+    declined[reason] = declined.get(reason, 0) + 1
+    if rt.tools:
+        rt.tools.dispatch(PLAN_CACHE, kind=kind, hit=True, declined=reason,
+                          time=rt.sim.now)
+    return prog, False
+
+
+def directive_id(rt, prog: MacroProgram, kind: str, name: str = "") -> int:
+    """Allocate the launch's directive id with the info dict memoized on
+    the program (one kind/name per program: the kernel is in the key)."""
+    info = prog.info
+    if info is None:
+        prog.info = info = rt.directive_info_for(kind, name)
+    return rt.alloc_directive_id(info)
+
+
+def data_op(rt, rec: MacroRecord, device_id: int, fuse: bool) -> Generator:
+    """The op generator of a data record on *device_id*."""
+    kind = rec.kind
+    if kind == OP_ENTER:
+        return exec_ops.enter_op(rt, device_id, rec.maps,
+                                 fuse_transfers=fuse, label=rec.label)
+    if kind == OP_EXIT:
+        return exec_ops.exit_op(rt, device_id, rec.maps,
+                                fuse_transfers=fuse, label=rec.label)
+    to_sections, from_sections = rec.extra
+    return exec_ops.update_op(rt, device_id, to_sections, from_sections,
+                              fuse_transfers=fuse, label=rec.label)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +357,7 @@ def _fast_kernel_body(rt, rec: MacroRecord, kernel, cfg, fuse: bool,
     holds, launch, refcount releases — with the epoch compare standing in
     for the per-map lookups.  If the present table changed since submit,
     delegate to the generic op (generators are lazy, so creating it here is
-    exactly the object path).  *steady* is the resolution captured at
+    exactly the generic launcher).  *steady* is the resolution captured at
     submit time; everything else is fetched when the body runs.
     """
     sim = rt.sim
@@ -329,7 +374,7 @@ def _fast_kernel_body(rt, rec: MacroRecord, kernel, cfg, fuse: bool,
             launch=cfg, fuse_transfers=fuse, label=rec.label)
         return
     # Implicit entry: everything present, so no alloc sync, no copies —
-    # just the refcount holds the object path's enter would take.
+    # just the refcount holds the generic op's enter would take.
     for _clause, _interval, entry in held:
         entry.refcount += 1
     dev = rt.devices[rec.device_id]
@@ -387,7 +432,7 @@ def _batch_bookkeeping(ctx, rt, procs) -> None:
 
 def replay_exec(ctx, prog: MacroProgram, kernel, cfg, fuse: bool,
                 directive_id: int) -> List[Process]:
-    """Interpret a compiled ``target spread`` program.
+    """Replay a ``target spread`` program.
 
     Creates every chunk process deferred, then commits all starts in one
     ``schedule_batch`` heap transaction.  Per-record resolution is
@@ -399,7 +444,7 @@ def replay_exec(ctx, prog: MacroProgram, kernel, cfg, fuse: bool,
     envs = rt.dataenvs
     depend = rt.depend
     # Walkers skip the per-op begin/end and causal joins a recorder or
-    # join hook would observe, so fusion needs quiet on top of engaged().
+    # join hook would observe, so fusion needs quiet on top of replay.
     fused = (rt.fused_timeline and sim.recorder is None
              and sim.cp_hook is None)
     tl = None
@@ -451,7 +496,7 @@ def replay_exec(ctx, prog: MacroProgram, kernel, cfg, fuse: bool,
 
 def replay_data(ctx, prog: MacroProgram, fuse: bool,
                 directive_id: int) -> List[Process]:
-    """Interpret a compiled enter/exit/update data program."""
+    """Replay an enter/exit/update data program."""
     rt = ctx.rt
     sim = rt.sim
     envs = rt.dataenvs
@@ -461,18 +506,7 @@ def replay_data(ctx, prog: MacroProgram, fuse: bool,
     starts = []
     for i, rec in enumerate(prog.records):
         env = envs[rec.device_id]
-        kind = rec.kind
-        if kind == OP_ENTER:
-            opgen = exec_ops.enter_op(rt, rec.device_id, rec.maps,
-                                      fuse_transfers=fuse, label=rec.label)
-        elif kind == OP_EXIT:
-            opgen = exec_ops.exit_op(rt, rec.device_id, rec.maps,
-                                     fuse_transfers=fuse, label=rec.label)
-        else:
-            to_sections, from_sections = rec.extra
-            opgen = exec_ops.update_op(rt, rec.device_id, to_sections,
-                                       from_sections, fuse_transfers=fuse,
-                                       label=rec.label)
+        opgen = data_op(rt, rec, rec.device_id, fuse)
         found = []
         for clause, interval in rec.maps:
             entry = _quiet_lookup(env, clause.var, interval)

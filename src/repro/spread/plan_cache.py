@@ -10,13 +10,14 @@ This is the simulated analogue of what production offload runtimes do for
 repeated launches (JACC caches kernel/launch state across invocations; the
 LLVM/OpenMP GPU runtime memoizes the launch path).
 
-:class:`SpreadPlanCache` maps a structural *key* of the directive to a
-:class:`SpreadPlan` holding the fully-lowered, immutable launch recipe:
-the chunk list and, per chunk, the concretized map intervals, the
-concretized depend skeleton and the task-name strings.  The directive
-layer replays a plan by rebuilding only the per-call pieces (the operation
-generators), so a replayed directive issues bit-identical work to a cold
-one — same ops, same order, same names, same virtual-time trace.
+:class:`SpreadPlanCache` maps a structural *key* of the directive to its
+lowered :class:`~repro.spread.macro.MacroProgram` — the one cached form
+of a launch.  :func:`repro.spread.macro.cached` is the single entry point
+the directives use: a miss lowers and stores, a hit replays the program or
+(when :func:`~repro.spread.macro.decline_reason` declines) walks its
+records through the generic launcher.  Either way a cached directive
+issues bit-identical work to a cold one — same ops, same order, same
+names, same virtual-time trace.
 
 Cache keys and invalidation
 ---------------------------
@@ -24,7 +25,7 @@ Cache keys and invalidation
 Keys are structural tuples built from:
 
 * the kernel (by identity — :class:`~repro.device.kernel.KernelSpec`
-  carries an unhashable scalars dict, so the plan anchors a strong
+  carries an unhashable scalars dict, so the program anchors a strong
   reference and the key uses ``id()``),
 * the iteration range / data range and the devices clause,
 * the schedule signature (kind + chunk sizes; the dynamic schedule has no
@@ -40,10 +41,11 @@ lowering is part of the key.  Rebinding a name to a *new*
 :class:`~repro.openmp.mapping.Var` (or changing an array's extent)
 changes the key, so the old entry is simply never hit again.  The one
 event that does invalidate is *device loss* (fault injection):
-:meth:`SpreadPlanCache.invalidate_device` drops every plan that routed
-chunks to the lost device.  This is hygiene more than correctness —
-failover re-routes chunks at launch time regardless of what the plan
-says — but it keeps the cache from pinning plans that will never replay
+:meth:`SpreadPlanCache.invalidate_devices` drops every program that
+routed chunks to a lost device or node.  This is hygiene more than
+correctness — once a device is lost no hit replays, and failover
+re-routes chunks at launch time regardless of what the program says —
+but it keeps the cache from pinning programs that will never run
 verbatim again and keeps its entry count honest.
 Anything the key cannot prove stable (an unhashable section, a dynamic
 schedule) falls back to the uncached slow path.  ``plan_cache=False`` on
@@ -56,177 +58,80 @@ outcome is fully determined by the key.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
-
-from repro.obs.tool import PLAN_CACHE
-
-
-@dataclass(frozen=True)
-class ChunkPlan:
-    """The lowered launch recipe of one chunk of a spread directive.
-
-    ``maps`` holds ``(MapClause, Interval)`` pairs (concretized for this
-    chunk), ``deps`` the concretized dependence skeleton, ``name`` the task
-    name and ``label`` the op label.  ``extra`` carries directive-specific
-    precomputation (``target update spread`` keeps its concrete to/from
-    section lists here).
-    """
-
-    chunk: Any
-    maps: Tuple[Any, ...]
-    deps: Tuple[Any, ...]
-    name: str
-    label: str = ""
-    extra: Any = None
-
-
-@dataclass(frozen=True)
-class SpreadPlan:
-    """One directive's fully-lowered plan: validated devices + chunk plans.
-
-    ``anchors`` pins objects whose ``id()`` participates in the cache key
-    (the kernel), so a key can never alias a recycled id.
-    """
-
-    devices: Tuple[int, ...]
-    chunks: Tuple[Any, ...]
-    chunk_plans: Tuple[ChunkPlan, ...]
-    anchors: Tuple[Any, ...] = ()
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 
 class SpreadPlanCache:
-    """Keyed store of :class:`SpreadPlan` objects with hit/miss counters."""
+    """Keyed store of lowered spread programs with traffic counters.
+
+    ``hits``/``misses`` count cacheable lookups, ``macro_replays`` the hits
+    that replayed and ``replay_declined`` the hits that did not, per
+    :func:`~repro.spread.macro.decline_reason` reason.
+    """
 
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
-        # key -> [plan, macro_state] cell.  The second slot carries the
-        # compiled macro-op program (repro.spread.macro): None until a
-        # compile is attempted, the program on success, or a ``False``
-        # sentinel for a plan that was tried and found uncompilable so the
-        # attempt is not repeated on every hit.  Keeping it in the same
-        # cell means a hit pays ONE key hash for both lookups and an
-        # evicted plan can never leave a stale program behind.
-        self._plans: Dict[Any, List[Any]] = {}
+        self._programs: Dict[Any, Any] = {}
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
-        self.macro_compiles = 0
         self.macro_replays = 0
+        self.replay_declined: Dict[str, int] = {}
 
-    def lookup(self, key: Any) -> Optional[List[Any]]:
-        """The ``[plan, macro_state]`` cell for *key*, or None (a miss).
+    def lookup(self, key: Any) -> Optional[Any]:
+        """The cached program for *key*, or None (a miss).
 
         ``key=None`` marks an uncacheable directive and is never counted.
         """
         if key is None or not self.enabled:
             return None
         try:
-            cell = self._plans.get(key)
+            prog = self._programs.get(key)
         except TypeError:  # unhashable key component: uncacheable
             return None
-        if cell is None:
+        if prog is None:
             self.misses += 1
         else:
             self.hits += 1
-        return cell
+        return prog
 
-    def get(self, key: Any) -> Optional[Any]:
-        """The cached plan for *key*, or None (counting a miss)."""
-        cell = self.lookup(key)
-        return cell[0] if cell is not None else None
-
-    def store(self, key: Any, plan: Any) -> None:
+    def store(self, key: Any, prog: Any) -> None:
         if key is None or not self.enabled:
             return
         try:
-            self._plans[key] = [plan, None]
+            self._programs[key] = prog
         except TypeError:  # unhashable key component: skip silently
             pass
 
-    def get_macro(self, key: Any) -> Any:
-        """Compiled macro program for *key* (or the False sentinel)."""
-        cell = self._plans.get(key)
-        return cell[1] if cell is not None else None
-
-    def store_macro(self, key: Any, prog: Any) -> None:
-        if key is None or not self.enabled:
-            return
-        cell = self._plans.get(key)
-        if cell is not None:
-            cell[1] = prog
-
     def clear(self) -> None:
-        self._plans.clear()
-
-    def invalidate_device(self, device_id: int) -> int:
-        """Drop every cached plan that routes work to *device_id*.
-
-        Called by :meth:`OpenMPRuntime.mark_device_lost`.  Returns the
-        number of cache entries dropped.
-        """
-        return self.invalidate_devices((device_id,))
-
-    def invalidate_node(self, device_ids: Sequence[int]) -> int:
-        """Drop every cached plan routing work to a lost *node* (all of
-        its devices at once).  One pass over the cache, however many
-        devices the node hosted — called by
-        :meth:`OpenMPRuntime.mark_node_lost`."""
-        return self.invalidate_devices(device_ids)
+        self._programs.clear()
 
     def invalidate_devices(self, device_ids: Sequence[int]) -> int:
-        """Drop every cached plan that routes work to any of *device_ids*.
-
-        Returns the number of cache entries dropped.  Some entries hold
-        a tuple of plans (a spread data region caches its enter and exit
-        plans together); such an entry is dropped if *any* member
-        references one of the devices.
-
-        Each evicted ``[plan, macro_state]`` cell is also *poisoned in
-        place* — plan slot cleared, macro slot set to the ``False``
-        ("never compile") sentinel.  The plan and its macro program live
-        or die together: a holder that grabbed the cell before the loss
-        (a directive mid-flight, a handle adopting replay state) can
-        neither replay the stale plan nor compile-and-adopt a macro
-        program derived from it after the signature is re-lowered into a
-        fresh cell.
-        """
+        """Drop every cached program that routes work to any of
+        *device_ids* (one lost device, or every device of a lost node, in
+        one pass).  Returns the number of entries dropped."""
         ids = frozenset(device_ids)
-
-        def _references(plan: Any) -> bool:
-            if isinstance(plan, tuple):
-                return any(_references(p) for p in plan)
-            if ids.intersection(getattr(plan, "devices", ())):
-                return True
-            return any(getattr(c, "device", None) in ids
-                       for c in getattr(plan, "chunks", ()))
-
-        stale = [key for key, cell in self._plans.items()
-                 if _references(cell[0])]
+        stale = [key for key, prog in self._programs.items()
+                 if not ids.isdisjoint(prog.devices)]
         for key in stale:
-            cell = self._plans.pop(key)
-            cell[0] = None
-            cell[1] = False
+            del self._programs[key]
         self.invalidations += len(stale)
         return len(stale)
 
     def __len__(self) -> int:
-        return len(self._plans)
+        return len(self._programs)
 
     @property
-    def stats(self) -> Dict[str, int]:
+    def stats(self) -> Dict[str, Any]:
         return {"hits": self.hits, "misses": self.misses,
-                "entries": len(self._plans),
+                "entries": len(self._programs),
                 "invalidations": self.invalidations,
-                "macro_compiles": self.macro_compiles,
                 "macro_replays": self.macro_replays,
-                "macro_entries": sum(1 for c in self._plans.values()
-                                     if c[1] is not None
-                                     and c[1] is not False)}
+                "replay_declined": dict(self.replay_declined)}
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"<SpreadPlanCache enabled={self.enabled} "
-                f"entries={len(self._plans)} hits={self.hits} "
+                f"entries={len(self._programs)} hits={self.hits} "
                 f"misses={self.misses}>")
 
 
@@ -234,21 +139,13 @@ class SpreadPlanCache:
 # key builders
 # ---------------------------------------------------------------------------
 
-def _section_key(section: Any) -> Any:
-    if section is None:
-        return None
-    if isinstance(section, (tuple, list)):
-        return tuple(section)
-    return section
-
-
 def maps_signature(maps: Sequence[Any]) -> Tuple[Any, ...]:
     """Structural signature of a map-clause list.
 
     The variable's extent rides along so growing/shrinking the underlying
     array (were a Var ever rebuilt around one) changes the signature.
 
-    The ``_section_key`` normalization is inlined: this runs on *every*
+    Sections normalize inline (lists become tuples): this runs on *every*
     directive call, hit or miss, and the extra call frame per clause was a
     measurable share of the hit path (BENCH_wallclock's end_to_end_speedup
     was below 1.0 before it was flattened).  The map type rides as its
@@ -328,12 +225,3 @@ def update_key(devices: Sequence[int], range_: Tuple[int, int],
                 sections_signature(from_), deps_signature(depends))
     except (TypeError, ValueError, IndexError, AttributeError):
         return None
-
-
-def note_plan_cache(rt, kind: str, key: Any, hit: bool) -> None:
-    """Fire the ``plan_cache`` tool callback for a cacheable directive."""
-    if key is None:
-        return
-    tools = rt.tools
-    if tools:
-        tools.dispatch(PLAN_CACHE, kind=kind, hit=hit, time=rt.sim.now)

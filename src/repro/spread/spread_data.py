@@ -18,10 +18,12 @@ placement follows the same two-level split as the kernels):
 ``range`` follows OpenMP array-section convention: ``range(1:N-2)`` is
 ``range_=(1, N-2)`` — start 1, *length* N-2.
 
-Like the executable directives, each data directive lowers through the
-runtime's :class:`~repro.spread.plan_cache.SpreadPlanCache`: the chunking
-and per-chunk section concretization are computed on first execution and
-replayed bit-identically on structurally identical invocations.
+Like the executable directives, each data directive lowers once per
+structural key into a :class:`~repro.spread.macro.MacroProgram` cached in
+the runtime's :class:`~repro.spread.plan_cache.SpreadPlanCache`: the
+chunking and per-chunk section concretization are computed on first
+execution, and structurally identical invocations replay the program (or
+walk its records through the generic launcher) bit-identically.
 """
 
 from __future__ import annotations
@@ -81,27 +83,17 @@ def _check_data_depends(ctx: TaskCtx, depends: Sequence[Dep],
                     f"the depend clause on {directive}")
 
 
-def _concretize(maps: Sequence[MapClause], chunk: Chunk):
-    return [(clause, concretize_section(clause.var, clause.section,
-                                        spread_start=chunk.start,
-                                        spread_size=chunk.size))
-            for clause in maps]
-
-
-def _build_data_plan(chunks: Sequence[Chunk], maps: Sequence[MapClause],
-                     depends: Sequence[Dep], name: str) -> pc.SpreadPlan:
-    """Lower one data directive to its replayable plan."""
-    chunk_plans = []
-    for chunk in chunks:
-        concrete = tuple(_concretize(maps, chunk))
-        cdeps = tuple(concretize_deps(depends, spread_start=chunk.start,
-                                      spread_size=chunk.size))
-        chunk_plans.append(pc.ChunkPlan(
-            chunk=chunk, maps=concrete, deps=cdeps,
-            name=f"{name}#{chunk.index}@{chunk.device}"))
-    return pc.SpreadPlan(devices=tuple(sorted({c.device for c in chunks})),
-                         chunks=tuple(chunks),
-                         chunk_plans=tuple(chunk_plans))
+def _lower_data(ctx: TaskCtx, op: int, name: str, devices: Sequence[int],
+                range_: Tuple[int, int], chunk_size: Optional[int],
+                schedule, maps: Sequence[MapClause],
+                depends: Sequence[Dep] = (),
+                end: Optional[macro.MacroProgram] = None
+                ) -> macro.MacroProgram:
+    """Chunk a data directive and lower it; records are named and
+    labelled after *name*."""
+    chunks = _data_chunks(ctx, devices, range_, chunk_size, schedule)
+    return macro.lower(op, chunks, maps, depends, name, name,
+                       sorted({c.device for c in chunks}), end=end)
 
 
 def _note_residency(san, residency: Optional[str], device_id: int,
@@ -118,76 +110,98 @@ def _note_residency(san, residency: Optional[str], device_id: int,
 def _noop_op() -> Generator:
     """Placeholder op for a re-routed chunk's skipped data directive.
 
-    A chunk re-routed off a lost device establishes no residency on its
-    replacement (its kernels run standalone; the host carries its data),
-    so enter-style directives degrade to an empty task — present for
-    dependence wiring and trace structure, moving no bytes.
+    A chunk re-routed off a lost device has no residency anywhere: its
+    kernels run standalone on private scratch and the host copy is
+    authoritative.  So every data directive degrades to an empty task —
+    present for dependence wiring and trace structure, moving no bytes.
+    Running the real op on the replacement would be wrong, not just
+    wasteful: any entry a lookup found there belongs to the *survivor's
+    own* chunks (e.g. a halo'd section containing the lost chunk's rows),
+    so a re-routed exit would release it and a re-routed ``update from``
+    would copy stale halo rows over newer host data.
     """
     return
     yield  # pragma: no cover - makes this a generator
 
 
-def _fan_out(ctx: TaskCtx, plan: pc.SpreadPlan, op_factory, nowait: bool,
-             directive_id: Optional[int] = None,
-             residency: Optional[str] = None) -> Generator:
-    """Submit one op per chunk plan; ``op_factory(chunk, concrete,
-    device_id, rerouted)`` builds the op for the (possibly failed-over)
-    target device.  ``residency`` ("enter"/"exit") tells the sanitizer
-    which way this directive moves the submit-order present set."""
+def _fan_out(ctx: TaskCtx, prog: macro.MacroProgram, fuse: bool,
+             directive_id: int, residency: Optional[str] = None) -> list:
+    """The generic launcher of a data directive: one op per record
+    through ``submit_spread``, routed around lost devices.
+
+    ``residency`` ("enter"/"exit") tells the sanitizer which way this
+    directive moves the submit-order present set.
+    """
     rt = ctx.rt
     san = rt.sanitizer
     resilient = rt.fault_injector is not None or rt.lost_devices
     items = []
     provs = []  # (chunk_index, rerouted_from) aligned with items
-    for cp in plan.chunk_plans:
+    for rec in prog.records:
         if not resilient:
             # Zero-fault hot path: no routing, no failover wrapper.
-            op = op_factory(cp.chunk, cp.maps, cp.chunk.device, False)
-            items.append((cp.chunk.device, op, cp.maps, cp.deps, cp.name))
-            provs.append((cp.chunk.index, None))
-            _note_residency(san, residency, cp.chunk.device, cp.maps)
+            device_id = rec.device_id
+            items.append((device_id, macro.data_op(rt, rec, device_id, fuse),
+                          rec.maps, rec.deps, rec.name))
+            provs.append((rec.chunk_index, None))
+            _note_residency(san, residency, device_id, rec.maps)
             continue
 
-        def factory(device_id, rerouted, cp=cp):
-            return op_factory(cp.chunk, cp.maps, device_id, rerouted)
+        def factory(device_id, rerouted, rec=rec):
+            if rerouted:
+                return _noop_op()
+            return macro.data_op(rt, rec, device_id, fuse)
 
-        device_id, rerouted = fo.route_chunk(rt, cp.chunk, plan.devices,
-                                             name=cp.name)
-        op = fo.failover_op(rt, cp.chunk, plan.devices, factory,
-                            name=cp.name, initial=(device_id, rerouted))
-        # A re-routed data directive is a no-op (see repro.spread.failover):
-        # it moves no host bytes, so its sanitizer footprint is empty and
-        # it establishes no residency on the replacement device.
-        items.append((device_id, op, cp.maps, cp.deps, cp.name,
+        chunk = rec.chunk
+        device_id, rerouted = fo.route_chunk(rt, chunk, prog.devices,
+                                             name=rec.name)
+        op = fo.failover_op(rt, chunk, prog.devices, factory,
+                            name=rec.name, initial=(device_id, rerouted))
+        # A re-routed data directive is a no-op: it moves no host bytes,
+        # so its sanitizer footprint is empty and it establishes no
+        # residency on the replacement device.
+        items.append((device_id, op, rec.maps, rec.deps, rec.name,
                       [] if rerouted else None))
-        provs.append((cp.chunk.index, cp.chunk.device if rerouted else None))
+        provs.append((rec.chunk_index, chunk.device if rerouted else None))
         if not rerouted:
-            _note_residency(san, residency, device_id, cp.maps)
+            _note_residency(san, residency, device_id, rec.maps)
     procs = exec_ops.submit_spread(ctx, items, directive_id=directive_id)
     for proc, (chunk_index, rerouted_from) in zip(procs, provs):
         proc.prov = (directive_id, chunk_index, rerouted_from)
-    handle = SpreadHandle(ctx, procs, plan.chunks)
+    return procs
+
+
+def _launch(ctx: TaskCtx, prog: macro.MacroProgram, replay: bool,
+            fuse: bool, nowait: bool, directive_id: int,
+            residency: Optional[str] = None) -> Generator:
+    """Run a data directive's program: replay it, or walk its records
+    through :func:`_fan_out`."""
+    if replay:
+        procs = macro.replay_data(ctx, prog, fuse, directive_id)
+    else:
+        procs = _fan_out(ctx, prog, fuse, directive_id, residency)
+    handle = SpreadHandle._adopt(ctx, procs, prog.chunks)
     if not nowait:
         yield from handle.wait()
     return handle
 
 
-def _directive_begin(ctx: TaskCtx, kind: str, chunks: Sequence[Chunk]) -> int:
-    did = ctx.rt.next_directive_id(kind)
-    tools = ctx.rt.tools
+def _directive_begin(ctx: TaskCtx, kind: str,
+                     prog: macro.MacroProgram) -> int:
+    rt = ctx.rt
+    did = macro.directive_id(rt, prog, kind)
+    tools = rt.tools
     if tools:
-        tools.directive_begin(kind, did=did,
-                              devices=sorted({c.device for c in chunks}),
-                              time=ctx.rt.sim.now)
+        tools.directive_begin(kind, did=did, devices=list(prog.devices),
+                              time=rt.sim.now)
     return did
 
 
-def _directive_end(ctx: TaskCtx, did: Optional[int],
-                   chunks: Sequence[Chunk]) -> None:
-    if did is not None:
-        tools = ctx.rt.tools
-        if tools:
-            tools.directive_end(did, chunks=len(chunks), time=ctx.rt.sim.now)
+def _directive_end(ctx: TaskCtx, did: int, prog: macro.MacroProgram) -> None:
+    tools = ctx.rt.tools
+    if tools:
+        tools.directive_end(did, chunks=len(prog.chunks),
+                            time=ctx.rt.sim.now)
 
 
 def target_enter_data_spread(ctx: TaskCtx, devices: Sequence[int],
@@ -202,48 +216,22 @@ def target_enter_data_spread(ctx: TaskCtx, devices: Sequence[int],
     chunk_size(...) [nowait] map(to/alloc: ...)`` (Listing 6)."""
     rt = ctx.rt
     kind = "target enter data spread"
-    cache = rt.plan_cache
     key = (pc.data_key(kind, devices, range_,
                        _chunk_key(chunk_size, schedule), maps, depends)
-           if cache.enabled else None)
-    cell = cache.lookup(key)
-    plan = cell[0] if cell is not None else None
-    if plan is None:
+           if rt.plan_cache.enabled else None)
+
+    def lower():
         exec_ops.enter_map_types(maps, kind)
         validate_unique_vars(maps, kind)
         _check_data_depends(ctx, depends, kind)
-        chunks = _data_chunks(ctx, devices, range_, chunk_size, schedule)
-        plan = _build_data_plan(chunks, maps, depends, "enter-spread")
-        cache.store(key, plan)
-        pc.note_plan_cache(rt, kind, key, hit=False)
-    else:
-        if rt.tools:
-            pc.note_plan_cache(rt, kind, key, hit=True)
-        if macro.engaged(rt):
-            prog = macro.program_for(cache, cell, lambda: macro.compile_data(
-                plan, macro.OP_ENTER, "enter-spread"))
-            if prog is not None:
-                info = prog.info
-                if info is None:
-                    prog.info = info = rt.directive_info_for(kind)
-                did = rt.alloc_directive_id(info)
-                procs = macro.replay_data(ctx, prog, fuse_transfers, did)
-                handle = SpreadHandle(ctx, procs, plan.chunks)
-                if not nowait:
-                    yield from handle.wait()
-                return handle
+        return _lower_data(ctx, macro.OP_ENTER, "enter-spread", devices,
+                           range_, chunk_size, schedule, maps, depends)
 
-    def factory(chunk: Chunk, concrete, device_id: int, rerouted: bool):
-        if rerouted:
-            return _noop_op()
-        return exec_ops.enter_op(rt, device_id, concrete,
-                                 fuse_transfers=fuse_transfers,
-                                 label=f"enter-spread@{device_id}")
-
-    did = _directive_begin(ctx, kind, plan.chunks)
-    handle = yield from _fan_out(ctx, plan, factory, nowait,
-                                 directive_id=did, residency="enter")
-    _directive_end(ctx, did, plan.chunks)
+    prog, replay = macro.cached(rt, kind, key, lower)
+    did = _directive_begin(ctx, kind, prog)
+    handle = yield from _launch(ctx, prog, replay, fuse_transfers, nowait,
+                                did, residency="enter")
+    _directive_end(ctx, did, prog)
     return handle
 
 
@@ -258,122 +246,52 @@ def target_exit_data_spread(ctx: TaskCtx, devices: Sequence[int],
     """``#pragma omp target exit data spread ... map(from/release/delete: ...)``."""
     rt = ctx.rt
     kind = "target exit data spread"
-    cache = rt.plan_cache
     key = (pc.data_key(kind, devices, range_,
                        _chunk_key(chunk_size, schedule), maps, depends)
-           if cache.enabled else None)
-    cell = cache.lookup(key)
-    plan = cell[0] if cell is not None else None
-    if plan is None:
+           if rt.plan_cache.enabled else None)
+
+    def lower():
         exec_ops.exit_map_types(maps, kind)
         validate_unique_vars(maps, kind)
         _check_data_depends(ctx, depends, kind)
-        chunks = _data_chunks(ctx, devices, range_, chunk_size, schedule)
-        plan = _build_data_plan(chunks, maps, depends, "exit-spread")
-        cache.store(key, plan)
-        pc.note_plan_cache(rt, kind, key, hit=False)
-    else:
-        if rt.tools:
-            pc.note_plan_cache(rt, kind, key, hit=True)
-        if macro.engaged(rt):
-            prog = macro.program_for(cache, cell, lambda: macro.compile_data(
-                plan, macro.OP_EXIT, "exit-spread"))
-            if prog is not None:
-                info = prog.info
-                if info is None:
-                    prog.info = info = rt.directive_info_for(kind)
-                did = rt.alloc_directive_id(info)
-                procs = macro.replay_data(ctx, prog, fuse_transfers, did)
-                handle = SpreadHandle(ctx, procs, plan.chunks)
-                if not nowait:
-                    yield from handle.wait()
-                return handle
+        return _lower_data(ctx, macro.OP_EXIT, "exit-spread", devices,
+                           range_, chunk_size, schedule, maps, depends)
 
-    def factory(chunk: Chunk, concrete, device_id: int, rerouted: bool):
-        if rerouted:
-            # The chunk's data died with its device; nothing of it is
-            # resident on the replacement (re-routed enters are no-ops,
-            # standalone kernels use private scratch).  Any entry a
-            # lookup would find here belongs to the *survivor's own*
-            # chunks — e.g. a halo'd section containing this chunk's
-            # rows — and releasing it would corrupt the survivor.
-            return _noop_op()
-        return exec_ops.exit_op(rt, device_id, concrete,
-                                fuse_transfers=fuse_transfers,
-                                label=f"exit-spread@{device_id}")
-
-    did = _directive_begin(ctx, kind, plan.chunks)
-    handle = yield from _fan_out(ctx, plan, factory, nowait,
-                                 directive_id=did, residency="exit")
-    _directive_end(ctx, did, plan.chunks)
+    prog, replay = macro.cached(rt, kind, key, lower)
+    did = _directive_begin(ctx, kind, prog)
+    handle = yield from _launch(ctx, prog, replay, fuse_transfers, nowait,
+                                did, residency="exit")
+    _directive_end(ctx, did, prog)
     return handle
 
 
 class SpreadDataRegion:
     """Handle for a structured ``target data spread`` region."""
 
-    def __init__(self, ctx: TaskCtx, end_plan: pc.SpreadPlan,
-                 fuse_transfers: bool,
-                 directive_id: Optional[int] = None,
-                 end_prog=None):
+    def __init__(self, ctx: TaskCtx, end_prog: macro.MacroProgram,
+                 fuse_transfers: bool, directive_id: int, replay: bool):
         self._ctx = ctx
-        self._end_plan = end_plan
+        self._end_prog = end_prog
         self._fuse = fuse_transfers
         self._closed = False
         self._directive_id = directive_id
-        # Compiled macro program for the region end, when the enter half
-        # replayed through the macro engine.  end() re-checks engagement:
-        # a device loss inside the region must fall back to the object
-        # path (which routes around the lost device).
-        self._end_prog = end_prog
+        # Whether the enter half replayed.  end() replays only then, and
+        # re-checks: a device loss inside the region must fall back to the
+        # generic launcher (which routes around the lost device).
+        self._replay = replay
 
     def end(self) -> Generator:
         """Leave the region: distributed copy-backs, synchronously."""
         if self._closed:
             raise OmpSemaError("target data spread region already closed")
         self._closed = True
-        rt = self._ctx.rt
-        if self._end_prog is not None and macro.engaged(rt):
-            procs = macro.replay_data(self._ctx, self._end_prog, self._fuse,
-                                      self._directive_id)
-            handle = SpreadHandle(self._ctx, procs, self._end_plan.chunks)
-            yield from handle.wait()
-            _directive_end(self._ctx, self._directive_id,
-                           self._end_plan.chunks)
-            return handle
-
-        def factory(chunk: Chunk, concrete, device_id: int, rerouted: bool):
-            if rerouted:
-                # See target_exit_data_spread: a re-routed exit must not
-                # touch the survivor's own entries.
-                return _noop_op()
-            return exec_ops.exit_op(rt, device_id, concrete,
-                                    fuse_transfers=self._fuse,
-                                    label=f"data-spread-end@{device_id}")
-
-        handle = yield from _fan_out(self._ctx, self._end_plan, factory,
-                                     nowait=False,
-                                     directive_id=self._directive_id,
-                                     residency="exit")
-        _directive_end(self._ctx, self._directive_id, self._end_plan.chunks)
+        ctx = self._ctx
+        replay = self._replay and macro.decline_reason(ctx.rt) is None
+        handle = yield from _launch(ctx, self._end_prog, replay, self._fuse,
+                                    False, self._directive_id,
+                                    residency="exit")
+        _directive_end(ctx, self._directive_id, self._end_prog)
         return handle
-
-
-def _compile_region(plans):
-    """Compile both halves of a ``target data spread`` region, or neither.
-
-    The cached value is the (enter, end) program pair; a ``None`` from
-    either half (e.g. malformed bounds) vetoes the whole region so the
-    two halves can never disagree about which path they run on.
-    """
-    enter_plan, end_plan = plans
-    enter_prog = macro.compile_data(enter_plan, macro.OP_ENTER, "data-spread")
-    if enter_prog is None:
-        return None
-    end_prog = macro.compile_data(end_plan, macro.OP_EXIT, "data-spread-end")
-    if end_prog is None:
-        return None
-    return (enter_prog, end_prog)
 
 
 def target_data_spread(ctx: TaskCtx, devices: Sequence[int],
@@ -392,54 +310,59 @@ def target_data_spread(ctx: TaskCtx, devices: Sequence[int],
     """
     rt = ctx.rt
     kind = "target data spread"
-    cache = rt.plan_cache
     key = (pc.data_key(kind, devices, range_,
                        _chunk_key(chunk_size, schedule), maps)
-           if cache.enabled else None)
-    cell = cache.lookup(key)
-    plans = cell[0] if cell is not None else None
-    if plans is None:
+           if rt.plan_cache.enabled else None)
+
+    def lower():
         exec_ops.region_map_types(maps, kind)
         validate_unique_vars(maps, kind)
-        chunks = _data_chunks(ctx, devices, range_, chunk_size, schedule)
-        # The region end reuses the same chunks/maps lowering under its own
-        # task names, so both halves are lowered (and cached) together.
-        plans = (_build_data_plan(chunks, maps, (), "data-spread"),
-                 _build_data_plan(chunks, maps, (), "data-spread-end"))
-        cache.store(key, plans)
-        pc.note_plan_cache(rt, kind, key, hit=False)
-    else:
-        if rt.tools:
-            pc.note_plan_cache(rt, kind, key, hit=True)
-        if macro.engaged(rt):
-            progs = macro.program_for(cache, cell,
-                                      lambda: _compile_region(plans))
-            if progs is not None:
-                enter_prog, end_prog = progs
-                info = enter_prog.info
-                if info is None:
-                    enter_prog.info = info = rt.directive_info_for(kind)
-                did = rt.alloc_directive_id(info)
-                procs = macro.replay_data(ctx, enter_prog, fuse_transfers,
-                                          did)
-                handle = SpreadHandle(ctx, procs, plans[0].chunks)
-                yield from handle.wait()
-                return SpreadDataRegion(ctx, plans[1], fuse_transfers,
-                                        directive_id=did, end_prog=end_prog)
-    enter_plan, end_plan = plans
+        # Both halves are lowered (and cached) together: the region end
+        # runs the same chunks and maps under its own task names.
+        end = _lower_data(ctx, macro.OP_EXIT, "data-spread-end", devices,
+                          range_, chunk_size, schedule, maps)
+        return _lower_data(ctx, macro.OP_ENTER, "data-spread", devices,
+                           range_, chunk_size, schedule, maps, end=end)
 
-    def factory(chunk: Chunk, concrete, device_id: int, rerouted: bool):
-        if rerouted:
-            return _noop_op()
-        return exec_ops.enter_op(rt, device_id, concrete,
-                                 fuse_transfers=fuse_transfers,
-                                 label=f"data-spread@{device_id}")
+    prog, replay = macro.cached(rt, kind, key, lower)
+    did = _directive_begin(ctx, kind, prog)
+    yield from _launch(ctx, prog, replay, fuse_transfers, False, did,
+                       residency="enter")
+    return SpreadDataRegion(ctx, prog.end, fuse_transfers, did, replay)
 
-    did = _directive_begin(ctx, kind, enter_plan.chunks)
-    yield from _fan_out(ctx, enter_plan, factory, nowait=False,
-                        directive_id=did, residency="enter")
-    return SpreadDataRegion(ctx, end_plan, fuse_transfers,
-                            directive_id=did)
+
+def _lower_update(ctx: TaskCtx, devices: Sequence[int],
+                  range_: Tuple[int, int], chunk_size: Optional[int],
+                  schedule, to: Sequence[Tuple[Var, object]],
+                  from_: Sequence[Tuple[Var, object]],
+                  depends: Sequence[Dep]) -> macro.MacroProgram:
+    """Lower ``target update spread``: per chunk, the concrete to/from
+    sections ride in ``extra`` and as pseudo map clauses (for wait
+    gathering and the sanitizer footprint)."""
+    chunks = _data_chunks(ctx, devices, range_, chunk_size, schedule)
+    records = []
+    for chunk in chunks:
+        start, size = chunk.start, chunk.size
+        to_c = tuple((var, concretize_section(var, section,
+                                              spread_start=start,
+                                              spread_size=size))
+                     for var, section in to)
+        from_c = tuple((var, concretize_section(var, section,
+                                                spread_start=start,
+                                                spread_size=size))
+                       for var, section in from_)
+        pseudo = tuple([(Map.to(var), iv) for var, iv in to_c] +
+                       [(Map.from_(var), iv) for var, iv in from_c])
+        deps = (tuple(concretize_deps(depends, spread_start=start,
+                                      spread_size=size))
+                if depends else ())
+        device = chunk.device
+        records.append(macro.MacroRecord(
+            macro.OP_UPDATE, chunk, pseudo, deps,
+            f"update-spread#{chunk.index}@{device}",
+            f"update-spread@{device}", extra=(to_c, from_c)))
+    return macro.MacroProgram(records, sorted({c.device for c in chunks}),
+                              chunks)
 
 
 def target_update_spread(ctx: TaskCtx, devices: Sequence[int],
@@ -459,98 +382,22 @@ def target_update_spread(ctx: TaskCtx, devices: Sequence[int],
     """
     rt = ctx.rt
     kind = "target update spread"
-    cache = rt.plan_cache
     key = (pc.update_key(devices, range_,
                          _chunk_key(chunk_size, schedule), to, from_,
                          depends)
-           if cache.enabled else None)
-    cell = cache.lookup(key)
-    plan = cell[0] if cell is not None else None
-    if plan is None:
+           if rt.plan_cache.enabled else None)
+
+    def lower():
         if not to and not from_:
             raise OmpSemaError(
                 "target update spread: needs at least one to()/from()")
         _check_data_depends(ctx, depends, kind)
-        chunks = _data_chunks(ctx, devices, range_, chunk_size, schedule)
-        chunk_plans = []
-        for chunk in chunks:
-            to_c = tuple((var, concretize_section(var, section,
-                                                  spread_start=chunk.start,
-                                                  spread_size=chunk.size))
-                         for var, section in to)
-            from_c = tuple((var, concretize_section(var, section,
-                                                    spread_start=chunk.start,
-                                                    spread_size=chunk.size))
-                           for var, section in from_)
-            pseudo = tuple([(Map.to(var), iv) for var, iv in to_c] +
-                           [(Map.from_(var), iv) for var, iv in from_c])
-            cdeps = tuple(concretize_deps(depends, spread_start=chunk.start,
-                                          spread_size=chunk.size))
-            chunk_plans.append(pc.ChunkPlan(
-                chunk=chunk, maps=pseudo, deps=cdeps,
-                name=f"update-spread#{chunk.index}@{chunk.device}",
-                extra=(to_c, from_c)))
-        plan = pc.SpreadPlan(devices=tuple(sorted({c.device for c in chunks})),
-                             chunks=tuple(chunks),
-                             chunk_plans=tuple(chunk_plans))
-        cache.store(key, plan)
-        pc.note_plan_cache(rt, kind, key, hit=False)
-    else:
-        if rt.tools:
-            pc.note_plan_cache(rt, kind, key, hit=True)
-        if macro.engaged(rt):
-            prog = macro.program_for(cache, cell,
-                                     lambda: macro.compile_update(plan))
-            if prog is not None:
-                info = prog.info
-                if info is None:
-                    prog.info = info = rt.directive_info_for(kind)
-                did = rt.alloc_directive_id(info)
-                procs = macro.replay_data(ctx, prog, fuse_transfers, did)
-                handle = SpreadHandle(ctx, procs, plan.chunks)
-                if not nowait:
-                    yield from handle.wait()
-                return handle
+        return _lower_update(ctx, devices, range_, chunk_size, schedule, to,
+                             from_, depends)
 
-    resilient = rt.fault_injector is not None or rt.lost_devices
-    items = []
-    provs = []  # (chunk_index, rerouted_from) aligned with items
-    for cp in plan.chunk_plans:
-        to_c, from_c = cp.extra
-        if not resilient:
-            op = exec_ops.update_op(rt, cp.chunk.device, to_c, from_c,
-                                    fuse_transfers=fuse_transfers,
-                                    label=f"update-spread@{cp.chunk.device}")
-            items.append((cp.chunk.device, op, cp.maps, cp.deps, cp.name))
-            provs.append((cp.chunk.index, None))
-            continue
-
-        def factory(device_id, rerouted, to_c=to_c, from_c=from_c):
-            if rerouted:
-                # A re-routed update is a no-op: the lost chunk has no
-                # residency anywhere and the host copy is authoritative.
-                # An ``update from`` that hit a survivor's own halo'd
-                # entry would even copy *stale* halo rows over newer
-                # host data.
-                return _noop_op()
-            return exec_ops.update_op(rt, device_id, to_c, from_c,
-                                      fuse_transfers=fuse_transfers,
-                                      label=f"update-spread@{device_id}")
-
-        device_id, rerouted = fo.route_chunk(rt, cp.chunk, plan.devices,
-                                             name=cp.name)
-        op = fo.failover_op(rt, cp.chunk, plan.devices, factory,
-                            name=cp.name, initial=(device_id, rerouted))
-        # Re-routed updates are no-ops too: empty sanitizer footprint.
-        items.append((device_id, op, cp.maps, cp.deps, cp.name,
-                      [] if rerouted else None))
-        provs.append((cp.chunk.index, cp.chunk.device if rerouted else None))
-    did = _directive_begin(ctx, kind, plan.chunks)
-    procs = exec_ops.submit_spread(ctx, items, directive_id=did)
-    for proc, (chunk_index, rerouted_from) in zip(procs, provs):
-        proc.prov = (did, chunk_index, rerouted_from)
-    handle = SpreadHandle(ctx, procs, plan.chunks)
-    if not nowait:
-        yield from handle.wait()
-    _directive_end(ctx, did, plan.chunks)
+    prog, replay = macro.cached(rt, kind, key, lower)
+    did = _directive_begin(ctx, kind, prog)
+    handle = yield from _launch(ctx, prog, replay, fuse_transfers, nowait,
+                                did)
+    _directive_end(ctx, did, prog)
     return handle

@@ -25,12 +25,8 @@ import numpy as np
 
 from repro.device.kernel import KernelSpec, LaunchConfig
 from repro.openmp import exec_ops
-from repro.openmp.depend import Dep, concretize_deps
-from repro.openmp.mapping import (
-    MapClause,
-    concretize_section,
-    validate_unique_vars,
-)
+from repro.openmp.depend import Dep
+from repro.openmp.mapping import MapClause, validate_unique_vars
 from repro.openmp.tasks import TaskCtx
 from repro.sim.engine import Process
 from repro.spread import extensions as ext
@@ -65,13 +61,13 @@ class SpreadHandle:
         self.unfinished: Sequence[Chunk] = ()
 
     @classmethod
-    def _replayed(cls, ctx: TaskCtx, procs: List[Process],
-                  chunks: Sequence[Chunk]) -> "SpreadHandle":
-        """Adopt the macro-replay interpreter's lists without copying.
+    def _adopt(cls, ctx: TaskCtx, procs: List[Process],
+               chunks: Sequence[Chunk]) -> "SpreadHandle":
+        """Adopt a launcher's lists without copying.
 
-        *procs* is the fresh list :func:`repro.spread.macro.replay_exec`
-        built for this launch and *chunks* the plan's immutable tuple, so
-        the defensive copies of ``__init__`` are pure allocation churn here.
+        *procs* is the fresh list a launcher built for this launch and
+        *chunks* the program's immutable tuple, so the defensive copies of
+        ``__init__`` are pure allocation churn here.
         """
         self = cls.__new__(cls)
         self._ctx = ctx
@@ -92,13 +88,6 @@ class SpreadHandle:
 
     def __len__(self) -> int:
         return len(self.procs)
-
-
-def _concretize_for_chunk(maps: Sequence[MapClause], chunk: Chunk):
-    return [(clause, concretize_section(clause.var, clause.section,
-                                        spread_start=chunk.start,
-                                        spread_size=chunk.size))
-            for clause in maps]
 
 
 # Directive-call defaults, hoisted: both were rebuilt on every call, which
@@ -158,72 +147,37 @@ def target_spread(ctx: TaskCtx, kernel: KernelSpec, lo: int, hi: int,
                 "target spread: reduction requires synchronous execution "
                 "(drop nowait)")
     cfg = launch if launch is not None else _DEFAULT_LAUNCH
+    if isinstance(sched, DynamicSchedule):
+        # Chunk→device assignment happens at execution time: there is no
+        # program to cache, so the dynamic schedule launches directly.
+        handle = yield from _run_dynamic(ctx, kernel, lo, hi, devices, sched,
+                                         maps, depends, cfg, nowait,
+                                         reductions, fuse_transfers)
+        return handle
 
-    cache = rt.plan_cache
     key = (pc.exec_key(kernel, lo, hi, devices, sched.signature, maps,
                        depends)
-           if cache.enabled else None)
-    cell = cache.lookup(key)
-    plan = cell[0] if cell is not None else None
-    if plan is None:
-        # Cold path: full validation + lowering (and, for the dynamic
-        # schedule, direct launch — its chunk→device assignment happens at
-        # execution time, so there is no replayable plan).
-        devs = validate_devices(devices, rt.num_devices)
-        validate_unique_vars(maps, "target spread")
-        exec_ops.region_map_types(maps, "target spread")
-        chunks = sched.chunks(lo, hi, devs)
-        if isinstance(sched, DynamicSchedule):
-            if depends:
-                raise OmpSemaError(
-                    "target spread: depend is not supported with the "
-                    "dynamic schedule extension")
-            handle = yield from _run_dynamic(ctx, kernel, chunks, devs,
-                                             maps, cfg, nowait, reductions,
-                                             fuse_transfers, lo, hi)
-            return handle
-        plan = _build_exec_plan(kernel, devs, chunks, maps, depends)
-        cache.store(key, plan)
-        pc.note_plan_cache(rt, "target spread", key, hit=False)
-    else:
-        if rt.tools:
-            pc.note_plan_cache(rt, "target spread", key, hit=True)
-        # Macro-op replay: interpret the compiled flat program instead of
-        # rebuilding the per-chunk object graph.  Engages only when the
-        # result is observationally identical (no tools/sanitizer/faults/
-        # reductions — see repro.spread.macro).
-        if not reductions and macro.engaged(rt):
-            # Steady-state inline of macro.program_for: the compiled
-            # program already sits in the cell, so skip the closure and
-            # call frame it would cost on every launch.
-            prog = cell[1]
-            if prog is None:
-                prog = macro.program_for(cache, cell,
-                                         lambda: macro.compile_exec(plan))
-            elif prog is False:
-                prog = None
-            else:
-                cache.macro_replays += 1
-            if prog is not None:
-                info = prog.info
-                if info is None:
-                    prog.info = info = rt.directive_info_for(
-                        "target spread", kernel.name)
-                did = rt.alloc_directive_id(info)
-                procs = macro.replay_exec(ctx, prog, kernel, cfg,
-                                          fuse_transfers, did)
-                handle = SpreadHandle._replayed(ctx, procs, plan.chunks)
-                if not nowait:
-                    yield from handle.wait()
-                return handle
+           if rt.plan_cache.enabled else None)
+    prog, replay = macro.cached(
+        rt, "target spread", key,
+        lambda: _lower_exec(rt, kernel, lo, hi, devices, sched, maps,
+                            depends),
+        reductions)
+    did = macro.directive_id(rt, prog, "target spread", kernel.name)
+    if replay:
+        procs = macro.replay_exec(ctx, prog, kernel, cfg, fuse_transfers,
+                                  did)
+        handle = SpreadHandle._adopt(ctx, procs, prog.chunks)
+        if not nowait:
+            yield from handle.wait()
+        return handle
 
     tools = rt.tools
-    did = rt.next_directive_id("target spread", kernel.name)
     if tools:
         tools.directive_begin("target spread", did=did, name=kernel.name,
-                              devices=list(plan.devices), lo=lo, hi=hi,
+                              devices=list(prog.devices), lo=lo, hi=hi,
                               time=rt.sim.now)
-    handle = _launch_static(ctx, kernel, plan, cfg, reductions,
+    handle = _launch_static(ctx, kernel, prog, cfg, reductions,
                             fuse_transfers, directive_id=did)
     if reductions:
         yield from handle.wait()
@@ -236,13 +190,40 @@ def target_spread(ctx: TaskCtx, kernel: KernelSpec, lo: int, hi: int,
     return handle
 
 
-def _run_dynamic(ctx: TaskCtx, kernel: KernelSpec, chunks: Sequence[Chunk],
-                 devs: Sequence[int], maps: Sequence[MapClause],
+def _validate_exec(rt, devices: Sequence[int],
+                   maps: Sequence[MapClause]) -> List[int]:
+    """The cold-path checks of ``target spread``; returns the devices."""
+    devs = validate_devices(devices, rt.num_devices)
+    validate_unique_vars(maps, "target spread")
+    exec_ops.region_map_types(maps, "target spread")
+    return devs
+
+
+def _lower_exec(rt, kernel: KernelSpec, lo: int, hi: int,
+                devices: Sequence[int], sched: SpreadSchedule,
+                maps: Sequence[MapClause],
+                depends: Sequence[Dep]) -> macro.MacroProgram:
+    """Validate and lower a static ``target spread`` to its program."""
+    devs = _validate_exec(rt, devices, maps)
+    return macro.lower(macro.OP_KERNEL, sched.chunks(lo, hi, devs), maps,
+                       depends, f"spread:{kernel.name}", "spread", devs,
+                       anchor=kernel)
+
+
+def _run_dynamic(ctx: TaskCtx, kernel: KernelSpec, lo: int, hi: int,
+                 devices: Sequence[int], sched: DynamicSchedule,
+                 maps: Sequence[MapClause], depends: Sequence[Dep],
                  cfg: LaunchConfig, nowait: bool,
-                 reductions: Sequence[Reduction], fuse_transfers: bool,
-                 lo: int, hi: int) -> Generator:
+                 reductions: Sequence[Reduction],
+                 fuse_transfers: bool) -> Generator:
     """The uncached dynamic-schedule execution of ``target spread``."""
     rt = ctx.rt
+    devs = _validate_exec(rt, devices, maps)
+    chunks = sched.chunks(lo, hi, devs)
+    if depends:
+        raise OmpSemaError(
+            "target spread: depend is not supported with the dynamic "
+            "schedule extension")
     tools = rt.tools
     did = rt.next_directive_id("target spread", kernel.name)
     if tools:
@@ -296,82 +277,63 @@ def target_spread_teams_distribute_parallel_for(
 
 
 # ---------------------------------------------------------------------------
-# static fan-out (plan-driven: lowered once, replayed on cache hits)
+# static fan-out: the generic launcher over a program's records
 # ---------------------------------------------------------------------------
 
-def _build_exec_plan(kernel: KernelSpec, devs: Sequence[int],
-                     chunks: Sequence[Chunk], maps: Sequence[MapClause],
-                     depends: Sequence[Dep]) -> pc.SpreadPlan:
-    """Lower a static spread directive to its replayable plan."""
-    chunk_plans = []
-    for chunk in chunks:
-        concrete = tuple(_concretize_for_chunk(maps, chunk))
-        cdeps = tuple(concretize_deps(depends, spread_start=chunk.start,
-                                      spread_size=chunk.size))
-        chunk_plans.append(pc.ChunkPlan(
-            chunk=chunk, maps=concrete, deps=cdeps,
-            name=f"spread:{kernel.name}#{chunk.index}@{chunk.device}",
-            label=f"spread@{chunk.device}"))
-    return pc.SpreadPlan(devices=tuple(devs), chunks=tuple(chunks),
-                         chunk_plans=tuple(chunk_plans), anchors=(kernel,))
-
-
-def _launch_static(ctx: TaskCtx, kernel: KernelSpec, plan: pc.SpreadPlan,
-                   cfg: LaunchConfig, reductions: Sequence[Reduction],
-                   fuse_transfers: bool,
+def _launch_static(ctx: TaskCtx, kernel: KernelSpec,
+                   prog: macro.MacroProgram, cfg: LaunchConfig,
+                   reductions: Sequence[Reduction], fuse_transfers: bool,
                    directive_id: Optional[int] = None) -> SpreadHandle:
     rt = ctx.rt
     resilient = rt.fault_injector is not None or rt.lost_devices
     items = []
     provs = []  # (chunk_index, rerouted_from) aligned with items
-    for cp in plan.chunk_plans:
-        chunk = cp.chunk
+    for rec in prog.records:
+        chunk = rec.chunk
         if not resilient:
             # Zero-fault hot path: identical to the pre-failover launch.
             if reductions:
-                op = _chunk_op_with_reductions(rt, chunk, chunk.device,
-                                               kernel, cp.maps, cfg,
+                op = _chunk_op_with_reductions(rt, chunk, rec.device_id,
+                                               kernel, rec.maps, cfg,
                                                reductions, fuse_transfers)
             else:
-                op = exec_ops.kernel_op(rt, chunk.device, kernel,
-                                        chunk.start, chunk.interval.stop,
-                                        cp.maps, launch=cfg,
+                op = exec_ops.kernel_op(rt, rec.device_id, kernel, rec.lo,
+                                        rec.hi, rec.maps, launch=cfg,
                                         fuse_transfers=fuse_transfers,
-                                        label=cp.label)
-            items.append((chunk.device, op, cp.maps, cp.deps, cp.name))
-            provs.append((chunk.index, None))
+                                        label=rec.label)
+            items.append((rec.device_id, op, rec.maps, rec.deps, rec.name))
+            provs.append((rec.chunk_index, None))
             continue
 
-        def op_factory(device_id, rerouted, cp=cp, chunk=chunk):
+        def op_factory(device_id, rerouted, rec=rec):
             if reductions:
                 return _chunk_op_with_reductions(
-                    rt, chunk, device_id, kernel, cp.maps, cfg, reductions,
-                    fuse_transfers, standalone=rerouted)
+                    rt, rec.chunk, device_id, kernel, rec.maps, cfg,
+                    reductions, fuse_transfers, standalone=rerouted)
             return exec_ops.kernel_op(
-                rt, device_id, kernel, chunk.start, chunk.interval.stop,
-                cp.maps, launch=cfg, fuse_transfers=fuse_transfers,
-                label=cp.label, standalone=rerouted)
+                rt, device_id, kernel, rec.lo, rec.hi, rec.maps, launch=cfg,
+                fuse_transfers=fuse_transfers, label=rec.label,
+                standalone=rerouted)
 
-        device_id, rerouted = fo.route_chunk(rt, chunk, plan.devices,
-                                             name=cp.name)
-        op = fo.failover_op(rt, chunk, plan.devices, op_factory,
-                            name=cp.name, initial=(device_id, rerouted))
+        device_id, rerouted = fo.route_chunk(rt, chunk, prog.devices,
+                                             name=rec.name)
+        op = fo.failover_op(rt, chunk, prog.devices, op_factory,
+                            name=rec.name, initial=(device_id, rerouted))
         accesses = None
         if rt.sanitizer is not None:
             if rerouted:
                 # A re-routed chunk runs standalone: its host footprint is
                 # the scratch-env one, not what the planned map types say.
                 from repro.analysis.sanitizer import standalone_accesses
-                accesses = standalone_accesses(cp.maps, chunk.start,
-                                               chunk.interval.stop)
+                accesses = standalone_accesses(rec.maps, rec.lo, rec.hi)
             else:
-                accesses = exec_ops.kernel_accesses(rt, device_id, cp.maps)
-        items.append((device_id, op, cp.maps, cp.deps, cp.name, accesses))
-        provs.append((chunk.index, chunk.device if rerouted else None))
+                accesses = exec_ops.kernel_accesses(rt, device_id, rec.maps)
+        items.append((device_id, op, rec.maps, rec.deps, rec.name, accesses))
+        provs.append((rec.chunk_index, chunk.device if rerouted else None))
     procs = exec_ops.submit_spread(ctx, items, directive_id=directive_id)
     for proc, (chunk_index, rerouted_from) in zip(procs, provs):
         proc.prov = (directive_id, chunk_index, rerouted_from)
-    return SpreadHandle(ctx, procs, plan.chunks)
+    return SpreadHandle._adopt(ctx, procs, prog.chunks)
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +367,7 @@ def _launch_dynamic(ctx: TaskCtx, kernel: KernelSpec,
             # Dynamic assignment is scheduling, not failover — no
             # rerouted_from tag.
             cell[0].prov = (directive_id, chunk.index, None)
-            concrete = _concretize_for_chunk(maps, chunk)
+            concrete = macro.concretize_maps(maps, chunk)
             san = rt.sanitizer
             if san is not None:
                 from repro.analysis.sanitizer import accesses_from_maps

@@ -28,11 +28,10 @@ def _hermetic_knob_env(monkeypatch):
     """The engagement assertions (``fused_segments > 0``) require the
     walkers to actually engage, which any globally armed observation
     fallback disables by design — the CI env-matrix legs (``REPRO_FAULTS``,
-    ``REPRO_SANITIZE``, ``REPRO_ANALYZE``, ``REPRO_MACRO_OPS``) must not
-    leak in.  Each fallback is covered explicitly below with the knob
-    armed per-run."""
+    ``REPRO_SANITIZE``, ``REPRO_ANALYZE``) must not leak in.  Each
+    fallback is covered explicitly below with the knob armed per-run."""
     for knob in ("REPRO_FAULTS", "REPRO_FAULT_SEED", "REPRO_SANITIZE",
-                 "REPRO_ANALYZE", "REPRO_MACRO_OPS", "REPRO_FUSED_TIMELINE"):
+                 "REPRO_ANALYZE", "REPRO_FUSED_TIMELINE"):
         monkeypatch.delenv(knob, raising=False)
 
 

@@ -181,29 +181,27 @@ class TestCacheBehaviour:
 
     def test_no_plan_cache_flag_disables_store(self):
         cache = SpreadPlanCache(enabled=False)
-        cache.store(("k",), "plan")
-        assert cache.get(("k",)) is None
+        cache.store(("k",), "prog")
+        assert cache.lookup(("k",)) is None
         assert len(cache) == 0
-        assert cache.stats == {"hits": 0, "misses": 0, "entries": 0,
-                               "invalidations": 0, "macro_compiles": 0,
-                               "macro_replays": 0, "macro_entries": 0}
+        assert cache.stats == _EMPTY_STATS
 
     def test_unhashable_key_falls_back_silently(self):
         cache = SpreadPlanCache()
         key = ("exec", [1, 2])  # list: unhashable
-        cache.store(key, "plan")
-        assert cache.get(key) is None
-        assert cache.stats == {"hits": 0, "misses": 0, "entries": 0,
-                               "invalidations": 0, "macro_compiles": 0,
-                               "macro_replays": 0, "macro_entries": 0}
+        cache.store(key, "prog")
+        assert cache.lookup(key) is None
+        assert cache.stats == _EMPTY_STATS
 
     def test_none_key_not_counted(self):
         cache = SpreadPlanCache()
-        assert cache.get(None) is None
-        cache.store(None, "plan")
-        assert cache.stats == {"hits": 0, "misses": 0, "entries": 0,
-                               "invalidations": 0, "macro_compiles": 0,
-                               "macro_replays": 0, "macro_entries": 0}
+        assert cache.lookup(None) is None
+        cache.store(None, "prog")
+        assert cache.stats == _EMPTY_STATS
+
+
+_EMPTY_STATS = {"hits": 0, "misses": 0, "entries": 0, "invalidations": 0,
+                "macro_replays": 0, "replay_declined": {}}
 
 
 class TestKeySensitivity:
@@ -272,87 +270,51 @@ class TestMetricsWiring:
 
 
 class TestLossInvalidationPoisoning:
-    """Device/node loss must leave stale cell holders inert.
+    """Device/node loss evicts every program routing work to the lost
+    devices, and no hit replays afterwards: a program lowered before the
+    loss can never run verbatim again."""
 
-    A directive mid-flight (or a handle adopting replay state) may hold a
-    ``[plan, macro_state]`` cell looked up *before* the loss.  Invalidation
-    must both drop the key from the store and poison the held cell — plan
-    slot cleared, macro slot forced to the ``False`` never-compile
-    sentinel — so the holder can neither replay the stale plan nor
-    compile-and-adopt a macro program derived from it.
-    """
+    @pytest.fixture(autouse=True)
+    def _hermetic_env(self, monkeypatch):
+        """The decline reasons asserted here assume no env-armed sanitizer
+        or fault injector (CI legs) outranks the one a scenario arms."""
+        for knob in ("REPRO_FAULTS", "REPRO_FAULT_SEED", "REPRO_SANITIZE"):
+            monkeypatch.delenv(knob, raising=False)
 
-    def _seeded(self):
-        from repro.spread.plan_cache import SpreadPlan
+    @staticmethod
+    def _program(devices, chunks=()):
+        from repro.spread.macro import MacroProgram
 
-        cache = SpreadPlanCache()
-        plan = SpreadPlan(devices=(0, 1), chunks=(), chunk_plans=())
-        cache.store("k", plan)
-        return cache, cache.lookup("k")
-
-    def test_invalidation_drops_key_and_poisons_cell(self):
-        cache, cell = self._seeded()
-        assert cache.invalidate_device(1) == 1
-        assert len(cache) == 0
-        assert cell[0] is None
-        assert cell[1] is False
-
-    def test_poisoned_cell_never_compiles_macro(self):
-        from repro.spread import macro
-
-        cache, cell = self._seeded()
-        cache.invalidate_device(0)
-        calls = []
-        assert macro.program_for(cache, cell,
-                                 lambda: calls.append(1)) is None
-        assert not calls
-        assert cache.macro_compiles == 0
-        assert cache.macro_replays == 0
-
-    def test_poisoning_does_not_leak_into_fresh_cell(self):
-        from repro.spread.plan_cache import SpreadPlan
-
-        cache, stale = self._seeded()
-        cache.invalidate_device(1)
-        fresh_plan = SpreadPlan(devices=(0, 1), chunks=(), chunk_plans=())
-        cache.store("k", fresh_plan)
-        fresh = cache.lookup("k")
-        assert fresh is not stale
-        assert fresh[0] is fresh_plan and fresh[1] is None
-        assert stale[0] is None and stale[1] is False
+        return MacroProgram((), devices, chunks)
 
     def test_invalidate_node_sweeps_all_node_devices_in_one_pass(self):
-        from repro.spread.plan_cache import SpreadPlan
         from repro.spread.schedule import StaticSchedule
 
         cache = SpreadPlanCache()
         for key, devs in (("a", (0, 1)), ("b", (2, 3)), ("c", (4, 5))):
             chunks = tuple(StaticSchedule(4).chunks(0, 8, list(devs)))
-            cache.store(key, SpreadPlan(devices=devs, chunks=chunks,
-                                        chunk_plans=()))
-        cells = {k: cache.lookup(k) for k in ("a", "b", "c")}
-        assert cache.invalidate_node((2, 3, 4)) == 2
+            cache.store(key, self._program(devs, chunks))
+        assert cache.invalidate_devices((2, 3, 4)) == 2
         assert len(cache) == 1
-        assert cells["a"][0] is not None
-        for k in ("b", "c"):
-            assert cells[k][0] is None and cells[k][1] is False
+        assert cache.lookup("a") is not None
+        assert cache.lookup("b") is None and cache.lookup("c") is None
+        assert cache.invalidations == 2
 
     def test_runtime_device_loss_poisons_held_cells(self):
-        """Regression: seeded loss mid-run must poison every cell that
-        routed work to the lost device, macro state included."""
+        """Regression: a loss mid-run must evict every program that
+        routed work to the lost device, and a program still held by a
+        caller must never replay afterwards."""
+        from repro.spread import macro
+
         rt, _, _ = _composite_run(plan_cache=True)
         cache = rt.plan_cache
-        held = {k: cache._plans[k] for k in list(cache._plans)}
-        lost_keys = [k for k, cell in held.items()
-                     if any(1 in getattr(p, "devices", ())
-                            for p in (cell[0] if isinstance(cell[0], tuple)
-                                      else (cell[0],)))]
+        held = dict(cache._programs)
+        lost_keys = [k for k, prog in held.items() if 1 in prog.devices]
         rt.mark_device_lost(1)
         assert lost_keys
         for k in lost_keys:
-            assert k not in cache._plans
-            assert held[k][0] is None
-            assert held[k][1] is False
+            assert k not in cache._programs
+            assert macro.decline_reason(rt, held[k]) == "lost_device"
 
     def test_somier_results_unchanged_after_seeded_device_loss(self):
         from repro.somier import SomierConfig, run_somier
@@ -365,7 +327,7 @@ class TestLossInvalidationPoisoning:
         assert 1 in lossy.runtime.lost_devices
         assert lossy.runtime.plan_cache.invalidations > 0
         assert np.array_equal(clean.centers, lossy.centers)
-        # no macro program derived from a pre-loss plan may replay after
-        # the loss: every surviving macro entry must be a live cell
-        for cell in lossy.runtime.plan_cache._plans.values():
-            assert cell[0] is not None
+        # no program lowered before the loss may replay after it
+        assert lossy.stats["macro_replays"] == 0
+        assert lossy.stats["replay_declined"] == {
+            "faults": lossy.stats["plan_cache_hits"]}
