@@ -5,13 +5,12 @@ Times the :class:`repro.sim.engine.Simulator` dispatch loop directly —
 no devices, no directives — over the two workload shapes that bracket a
 calendar queue: every event at a distinct timestamp (one heap operation
 per event) and many events tied to few timestamps (a whole bucket drains
-per heap operation).  Optionally measures the fused-timeline end-to-end
-ablation and merges the result into an existing ``BENCH_wallclock.json``
-under its ``engine`` key::
+per heap operation).  Optionally merges the result into an existing
+``BENCH_wallclock.json`` under its ``engine`` key::
 
     PYTHONPATH=src python benchmarks/bench_engine.py
     PYTHONPATH=src python benchmarks/bench_engine.py \
-        --events 200000 --e2e --merge BENCH_wallclock.json
+        --events 200000 --merge BENCH_wallclock.json
 
 See ``docs/performance.md`` ("Fused-timeline engine") for how to read
 the output.
@@ -23,7 +22,7 @@ import argparse
 import json
 import sys
 
-from repro.bench.wallclock import end_to_end, engine_microbench
+from repro.bench.wallclock import engine_microbench
 
 
 def main(argv=None) -> int:
@@ -34,9 +33,6 @@ def main(argv=None) -> int:
                     help="concurrent generator processes")
     ap.add_argument("--repeats", type=int, default=5,
                     help="repeats per arm (min is reported)")
-    ap.add_argument("--e2e", action="store_true",
-                    help="also run the fused-timeline end-to-end ablation "
-                         "(one Somier run fused on and one fused off)")
     ap.add_argument("--merge", metavar="JSON", default=None,
                     help="merge the result into this BENCH_wallclock.json "
                          "under the 'engine' key")
@@ -50,20 +46,6 @@ def main(argv=None) -> int:
           f"(mean batch {eng['tie_mean_batch']:.1f}, "
           f"{eng['tie_speedup']:.2f}x vs distinct)")
     print(f"timeout freelist reuse: {eng['timeout_reuse_frac']:.1%}")
-
-    if args.e2e:
-        on = end_to_end(True)
-        off = end_to_end(True, fused_timeline=False)
-        ratio = off["wall_s"] / on["wall_s"] if on["wall_s"] else 0.0
-        eng["e2e_fused_on_wall_s"] = on["wall_s"]
-        eng["e2e_fused_off_wall_s"] = off["wall_s"]
-        eng["e2e_fused_speedup"] = ratio
-        assert on["virtual_s"] == off["virtual_s"], \
-            "fused on/off virtual time diverged"
-        print(f"end-to-end: {on['wall_s']:.3f}s fused "
-              f"({on['engine_fused_segments']} segments) vs "
-              f"{off['wall_s']:.3f}s generators ({ratio:.2f}x); "
-              f"virtual_s identical")
 
     if args.merge:
         with open(args.merge) as f:

@@ -116,23 +116,15 @@ def launch_microbench(plan_cache: bool = True, n: int = 4096,
 
 def end_to_end(plan_cache: bool = True, n_functional: int = 24,
                steps: int = 12, gpus: int = 4,
-               workers: Optional[int] = None,
-               fused_timeline: Optional[bool] = None) -> Dict[str, Any]:
-    """Wall seconds of a small Somier run (whole stack, trace off).
-
-    ``fused_timeline=False`` is the ablation arm for the fused-timeline
-    engine: replay stays on but every chunk and section copy runs
-    as a generator process instead of a timeline walker.
-    """
+               workers: Optional[int] = None) -> Dict[str, Any]:
+    """Wall seconds of a small Somier run (whole stack, trace off)."""
     topo, cm = machines.paper_machine(gpus, n_functional=n_functional)
     cfg = machines.paper_somier_config(n_functional=n_functional,
                                        steps=steps)
     t0 = time.perf_counter()
     res = run_somier("one_buffer", cfg, devices=machines.paper_devices(gpus),
                      topology=topo, cost_model=cm, trace=False,
-                     plan_cache=plan_cache,
-                     fused_timeline=fused_timeline,
-                     workers=workers)
+                     plan_cache=plan_cache, workers=workers)
     wall = time.perf_counter() - t0
     out = {
         "plan_cache": plan_cache,
@@ -342,11 +334,9 @@ def analyzer_overhead(runs: int = 3, n_functional: int = 24,
     Both arms trace (analysis requires a trace, so the fair baseline is a
     traced run); the only delta is the causal recorder — process-frontier
     propagation, per-op dependency capture, resource-grant edges.  Both
-    arms also pin ``fused_timeline=False``: the causal recorder disengages
-    the fused-timeline walkers, so leaving them on in the baseline would
-    fold the walker speedup into the "overhead" and misattribute it to
-    recording.  Each arm takes the min over *runs* repeats to shed
-    scheduler noise.  The post-run analysis itself (critical path,
+    arms run the default path: the fused-timeline walkers report to the
+    recorder, so replay and walkers engage in either arm.  Each arm takes
+    the min over *runs* repeats to shed scheduler noise.  The post-run analysis itself (critical path,
     attribution, what-if replay) is timed separately: it is pure
     reporting, off the recording hot path.
     """
@@ -361,7 +351,7 @@ def analyzer_overhead(runs: int = 3, n_functional: int = 24,
             t0 = time.perf_counter()
             res = run_somier("one_buffer", cfg, devices=devices,
                              topology=topo, cost_model=cm, trace=True,
-                             fused_timeline=False, analyze=analyze)
+                             analyze=analyze)
             best = min(best, time.perf_counter() - t0)
         return best, res
 
@@ -403,19 +393,14 @@ def run_wallclock(n: int = 4096, num_devices: int = 4, repeats: int = 30,
     # Interleaved best-of: ambient load varies on multi-second scales, so
     # a single sample per arm can hand one arm an entire load burst and
     # invert the ratio (the workers sweep docstring tells the same story).
-    e2e_on = e2e_off = e2e_fused_off = None
+    e2e_on = e2e_off = None
     for _ in range(3):
         on = end_to_end(True, n_functional=n_functional, steps=steps)
         off = end_to_end(False, n_functional=n_functional, steps=steps)
-        fused_off = end_to_end(True, n_functional=n_functional, steps=steps,
-                               fused_timeline=False)
         if e2e_on is None or on["wall_s"] < e2e_on["wall_s"]:
             e2e_on = on
         if e2e_off is None or off["wall_s"] < e2e_off["wall_s"]:
             e2e_off = off
-        if e2e_fused_off is None or \
-                fused_off["wall_s"] < e2e_fused_off["wall_s"]:
-            e2e_fused_off = fused_off
     sweep = workers_sweep(workers_list, n_functional=sweep_n_functional,
                           steps=sweep_steps)
     ivals = intervals_bench()
@@ -423,13 +408,12 @@ def run_wallclock(n: int = 4096, num_devices: int = 4, repeats: int = 30,
     analyzer = analyzer_overhead(runs=analyzer_runs,
                                  n_functional=n_functional, steps=steps)
     return {
-        "schema": "repro-wallclock-6",
+        "schema": "repro-wallclock-7",
         "timestamp": timestamp,
         "cpu_count": os.cpu_count(),
         "launch_microbench": {"cache_on": micro_on,
                               "cache_off": micro_off},
-        "end_to_end": {"cache_on": e2e_on, "cache_off": e2e_off,
-                       "fused_off": e2e_fused_off},
+        "end_to_end": {"cache_on": e2e_on, "cache_off": e2e_off},
         "workers_sweep": sweep,
         "intervals": ivals,
         "engine": engine,
@@ -437,5 +421,4 @@ def run_wallclock(n: int = 4096, num_devices: int = 4, repeats: int = 30,
         "warm_launch_speedup":
             micro_off["warm_launch_s"] / micro_on["warm_launch_s"],
         "end_to_end_speedup": e2e_off["wall_s"] / e2e_on["wall_s"],
-        "fused_e2e_speedup": e2e_fused_off["wall_s"] / e2e_on["wall_s"],
     }

@@ -99,14 +99,10 @@ def _resolve_machine(args):
     return topo, cm, devices
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Simulated multi-device OpenMP: the target spread "
-                    "directive set (Torres et al., IPDPS-W 2022)")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("somier", help="run one Somier experiment")
+def _somier_run_parser() -> argparse.ArgumentParser:
+    """The Somier run flags ``somier``, ``stats`` and ``analyze`` share
+    (turned into ``run_somier`` arguments by :func:`_somier_kwargs`)."""
+    p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--impl", default="one_buffer",
                    choices=["target", "one_buffer", "two_buffers",
                             "double_buffering"])
@@ -130,10 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-plan-cache", action="store_true",
                    help="disable spread launch-plan caching (replay); "
                         "every directive takes the full lowering path")
-    p.add_argument("--no-fused-timeline", action="store_true",
-                   help="keep replay but run chunks as generator "
-                        "processes instead of fused timeline walkers "
-                        "(default: $REPRO_FUSED_TIMELINE or on)")
     p.add_argument("--workers", type=int, default=None, metavar="N",
                    help="size of the parallel host execution backend "
                         "(real kernel/memcpy work on N threads; default: "
@@ -146,11 +138,42 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fault-seed", type=int, default=None, metavar="N",
                    help="fault-injection RNG seed (default: "
                         "$REPRO_FAULT_SEED or 0)")
+    return p
+
+
+def _add_sanitize(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sanitize", nargs="?", const="on", default=None,
                    choices=["on", "strict"], metavar="MODE",
                    help="enable the interval race sanitizer (MODE 'strict' "
                         "also fails the run on races; default: "
                         "$REPRO_SANITIZE or off)")
+
+
+def _somier_kwargs(args) -> dict:
+    """``run_somier`` keyword arguments (``config`` included, ``impl``
+    not) from the shared Somier run flags."""
+    topo, cm, devices = _resolve_machine(args)
+    return dict(config=machines.paper_somier_config(
+                    n_functional=args.n_functional, steps=args.steps),
+                devices=devices, topology=topo, cost_model=cm,
+                data_depend=args.data_depend,
+                fuse_transfers=args.fuse_transfers,
+                plan_cache=not args.no_plan_cache,
+                workers=args.workers,
+                faults=args.faults, fault_seed=args.fault_seed)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="Simulated multi-device OpenMP: the target spread "
+                    "directive set (Torres et al., IPDPS-W 2022)")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    run = _somier_run_parser()
+    p = sub.add_parser("somier", parents=[run],
+                       help="run one Somier experiment")
+    _add_sanitize(p)
     p.add_argument("--analyze", action="store_true",
                    help="attach the causal recorder and print the "
                         "parallelism-slackness line (implies tracing; see "
@@ -168,79 +191,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metrics-json", metavar="PATH", default=None,
                    help="write the profile report JSON to PATH")
 
-    p = sub.add_parser("stats",
+    p = sub.add_parser("stats", parents=[run],
                        help="run Somier with the metrics tool and print "
                             "the profiling report")
-    p.add_argument("--impl", default="one_buffer",
-                   choices=["target", "one_buffer", "two_buffers",
-                            "double_buffering"])
-    p.add_argument("--gpus", type=int, default=None, choices=[1, 2, 3, 4],
-                   help="paper-node GPU count (default 4); giving it "
-                        "explicitly overrides $REPRO_MACHINE")
-    p.add_argument("--machine", metavar="SPEC", default=None,
-                   help="simulated machine: 'cte-power[:N]' or "
-                        "'cluster:NxM' (N nodes x M GPUs; overrides "
-                        "--gpus; default: $REPRO_MACHINE or the "
-                        "CTE-POWER node) — see docs/cluster.md")
-    p.add_argument("--devices", type=_devices_arg, default=None)
-    p.add_argument("--n-functional", type=int, default=48)
-    p.add_argument("--steps", type=int, default=8)
-    p.add_argument("--data-depend", action="store_true")
-    p.add_argument("--fuse-transfers", action="store_true")
-    p.add_argument("--no-plan-cache", action="store_true")
-    p.add_argument("--no-fused-timeline", action="store_true",
-                   help="disable fused-timeline walkers "
-                        "(default: $REPRO_FUSED_TIMELINE or on)")
-    p.add_argument("--workers", type=int, default=None, metavar="N",
-                   help="parallel host backend width (default: "
-                        "$REPRO_WORKERS or 1)")
-    p.add_argument("--faults", metavar="SPEC", default=None,
-                   help="inject seeded faults (default: $REPRO_FAULTS "
-                        "or off)")
-    p.add_argument("--fault-seed", type=int, default=None, metavar="N",
-                   help="fault-injection RNG seed (default: "
-                        "$REPRO_FAULT_SEED or 0)")
-    p.add_argument("--sanitize", nargs="?", const="on", default=None,
-                   choices=["on", "strict"], metavar="MODE",
-                   help="enable the interval race sanitizer (default: "
-                        "$REPRO_SANITIZE or off)")
+    _add_sanitize(p)
     p.add_argument("--json", action="store_true",
                    help="emit the report as JSON instead of text tables")
     p.add_argument("--full", action="store_true",
                    help="also print the raw metrics catalogue")
 
-    p = sub.add_parser("analyze",
+    p = sub.add_parser("analyze", parents=[run],
                        help="run Somier with the causal recorder and print "
                             "the critical-path / bottleneck report")
-    p.add_argument("--impl", default="one_buffer",
-                   choices=["target", "one_buffer", "two_buffers",
-                            "double_buffering"])
-    p.add_argument("--gpus", type=int, default=None, choices=[1, 2, 3, 4],
-                   help="paper-node GPU count (default 4); giving it "
-                        "explicitly overrides $REPRO_MACHINE")
-    p.add_argument("--machine", metavar="SPEC", default=None,
-                   help="simulated machine: 'cte-power[:N]' or "
-                        "'cluster:NxM' (N nodes x M GPUs; overrides "
-                        "--gpus; default: $REPRO_MACHINE or the "
-                        "CTE-POWER node) — see docs/cluster.md")
-    p.add_argument("--devices", type=_devices_arg, default=None)
-    p.add_argument("--n-functional", type=int, default=48)
-    p.add_argument("--steps", type=int, default=8)
-    p.add_argument("--data-depend", action="store_true")
-    p.add_argument("--fuse-transfers", action="store_true")
-    p.add_argument("--no-plan-cache", action="store_true")
-    p.add_argument("--no-fused-timeline", action="store_true",
-                   help="disable fused-timeline walkers "
-                        "(default: $REPRO_FUSED_TIMELINE or on)")
-    p.add_argument("--workers", type=int, default=None, metavar="N",
-                   help="parallel host backend width (default: "
-                        "$REPRO_WORKERS or 1)")
-    p.add_argument("--faults", metavar="SPEC", default=None,
-                   help="inject seeded faults (default: $REPRO_FAULTS "
-                        "or off)")
-    p.add_argument("--fault-seed", type=int, default=None, metavar="N",
-                   help="fault-injection RNG seed (default: "
-                        "$REPRO_FAULT_SEED or 0)")
     p.add_argument("--json", action="store_true",
                    help="emit the repro-critpath-1 JSON payload instead of "
                         "the text report")
@@ -321,20 +283,12 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_somier(args) -> int:
     from repro.obs import Profiler
 
-    topo, cm, devices = _resolve_machine(args)
-    cfg = machines.paper_somier_config(n_functional=args.n_functional,
-                                       steps=args.steps)
+    kw = _somier_kwargs(args)
+    cfg, devices = kw["config"], kw["devices"]
     profiling = args.profile or args.trace_json or args.metrics_json
     prof = Profiler() if profiling else None
-    res = run_somier(args.impl, cfg, devices=devices, topology=topo,
-                     cost_model=cm, data_depend=args.data_depend,
-                     fuse_transfers=args.fuse_transfers,
+    res = run_somier(args.impl, **kw,
                      trace=args.trace or bool(args.trace_json),
-                     plan_cache=not args.no_plan_cache,
-                     fused_timeline=(False if args.no_fused_timeline
-                                     else None),
-                     workers=args.workers,
-                     faults=args.faults, fault_seed=args.fault_seed,
                      sanitize=args.sanitize,
                      analyze=args.analyze or None,
                      tools=prof.tools if prof else ())
@@ -391,19 +345,10 @@ def cmd_somier(args) -> int:
 def cmd_stats(args) -> int:
     from repro.obs import Profiler
 
-    topo, cm, devices = _resolve_machine(args)
-    cfg = machines.paper_somier_config(n_functional=args.n_functional,
-                                       steps=args.steps)
+    kw = _somier_kwargs(args)
+    devices = kw["devices"]
     prof = Profiler()
-    res = run_somier(args.impl, cfg, devices=devices, topology=topo,
-                     cost_model=cm, data_depend=args.data_depend,
-                     fuse_transfers=args.fuse_transfers,
-                     plan_cache=not args.no_plan_cache,
-                     fused_timeline=(False if args.no_fused_timeline
-                                     else None),
-                     workers=args.workers,
-                     faults=args.faults, fault_seed=args.fault_seed,
-                     sanitize=args.sanitize, analyze=True,
+    res = run_somier(args.impl, **kw, sanitize=args.sanitize, analyze=True,
                      tools=prof.tools)
     analysis = res.runtime.analysis()
     report = prof.report(makespan=res.elapsed,
@@ -425,19 +370,10 @@ def cmd_stats(args) -> int:
 def cmd_analyze(args) -> int:
     from repro.obs import Profiler
 
-    topo, cm, devices = _resolve_machine(args)
-    cfg = machines.paper_somier_config(n_functional=args.n_functional,
-                                       steps=args.steps)
+    kw = _somier_kwargs(args)
+    devices = kw["devices"]
     prof = Profiler() if args.trace_json else None
-    res = run_somier(args.impl, cfg, devices=devices, topology=topo,
-                     cost_model=cm, data_depend=args.data_depend,
-                     fuse_transfers=args.fuse_transfers,
-                     plan_cache=not args.no_plan_cache,
-                     fused_timeline=(False if args.no_fused_timeline
-                                     else None),
-                     workers=args.workers,
-                     faults=args.faults, fault_seed=args.fault_seed,
-                     analyze=True,
+    res = run_somier(args.impl, **kw, analyze=True,
                      tools=prof.tools if prof else ())
     analysis = res.runtime.analysis()
     if args.trace_json:

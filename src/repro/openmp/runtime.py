@@ -61,23 +61,6 @@ def resolve_workers(workers: Optional[int]) -> int:
     return workers
 
 
-def resolve_fused_timeline(fused_timeline: Optional[bool]) -> bool:
-    """Normalize the ``fused_timeline`` knob (the fused-timeline engine).
-
-    ``None`` consults the ``REPRO_FUSED_TIMELINE`` environment variable
-    (CI ablation: ``REPRO_FUSED_TIMELINE=0``), defaulting to **on** —
-    fused execution is bit-identical to the generator path and only
-    engages for macro-replayed steady-state kernel chunks nothing else
-    observes (see :mod:`repro.sim.timeline`).
-    """
-    if fused_timeline is None:
-        try:
-            return envknobs.env_flag("REPRO_FUSED_TIMELINE", default=True)
-        except ValueError as err:
-            raise OmpRuntimeError(str(err))
-    return bool(fused_timeline)
-
-
 def resolve_analyze(analyze: Optional[bool]) -> bool:
     """Normalize the ``analyze`` knob.
 
@@ -140,7 +123,6 @@ class OpenMPRuntime:
                  trace_enabled: bool = True,
                  taskgroup_global_drain: bool = True,
                  plan_cache: bool = True,
-                 fused_timeline: Optional[bool] = None,
                  workers: Optional[int] = None,
                  executor_min_bytes: Optional[int] = None,
                  faults: FaultsSpec = None,
@@ -214,12 +196,6 @@ class OpenMPRuntime:
         #: later launches replay; ``plan_cache=False`` (CLI
         #: ``--no-plan-cache``) lowers every launch afresh.
         self.plan_cache = SpreadPlanCache(enabled=plan_cache)
-        #: fused-timeline engine (repro.sim.timeline): replayed
-        #: steady-state kernel chunks execute as precomputed virtual-time
-        #: walkers instead of generator processes.  ``fused_timeline=False``
-        #: (CLI ``--no-fused-timeline``, env ``REPRO_FUSED_TIMELINE=0``)
-        #: forces the generator path.
-        self.fused_timeline = resolve_fused_timeline(fused_timeline)
         #: parallel host execution backend (repro.sim.executor): with
         #: ``workers > 1`` the real NumPy work of kernels and transfers
         #: runs on a thread pool; 1 keeps the serial inline path.
@@ -312,6 +288,28 @@ class OpenMPRuntime:
     def dataenv(self, device_id: int) -> DeviceDataEnv:
         self.device(device_id)  # bounds check
         return self.dataenvs[device_id]
+
+    # -- observation --------------------------------------------------------------
+
+    def per_op_observer(self) -> Optional[str]:
+        """What observes or perturbs individual device ops, or None.
+
+        Tools, the race sanitizer and the fault injector see (or change)
+        per-op state; a lost device makes cached resolutions meaningless.
+        Any of them declines spread replay
+        (:func:`repro.spread.macro.decline_reason`) and the fused copy
+        walkers (``exec_ops._issue_copies``); the causal recorder observes
+        the walkers directly and declines nothing.
+        """
+        if self.tools:
+            return "tools"
+        if self.sanitizer is not None:
+            return "sanitizer"
+        if self.fault_injector is not None:
+            return "faults"
+        if self._lost_devices:
+            return "lost_device"
+        return None
 
     # -- device loss --------------------------------------------------------------
 

@@ -8,24 +8,31 @@ so all of that per-op machinery re-derives the same facts on every replay.
 
 This module replaces the generator with a **timeline walker**: per-chunk
 segment durations are computed once per program with one vectorized pass
-over the cost model (:meth:`CostModel.kernel_batch`, cumulative sums give
-the segment-boundary table), and a slotted :class:`TimelineProc` advances
-through them with pooled engine calls.  Real :class:`Event` objects are
-materialized only at *interaction points* — the resource acquire for the
-device queue, the ``AllOf`` join over depend/in-flight waits — and every
-inert segment between them is one pooled ``_Call`` dispatch instead of a
-Timeout + callback + generator resume.
+over the cost model (:meth:`CostModel.kernel_batch`), and a slotted
+:class:`TimelineProc` advances through them with pooled engine calls.
+Real :class:`Event` objects are materialized only at *interaction
+points* — the resource acquire for the device queue, the ``AllOf`` join
+over depend/in-flight waits — and every inert segment between them is one
+pooled ``_Call`` dispatch instead of a Timeout + callback + generator
+resume.
 
 **Bit identity.**  The walker arms each segment with the *individual*
 durations the generator would have passed to ``sim.timeout`` (never with
-cumsum differences — IEEE addition is not associative), pushes exactly one
+summed boundaries — IEEE addition is not associative), pushes exactly one
 queue entry per original Timeout boundary, and performs every resource
 request/release, refcount move, trace record and exit-protocol step in the
 same order at the same virtual times.  Traces and ``virtual_s`` are
-therefore identical fused on or off, which ``tests/spread`` enforces.
-Engagement mirrors macro replay and additionally requires that no causal
-recorder or join hook observes per-op state (walkers skip ``op_begin``/
-``op_end``); anything else falls back to the generator path.
+therefore identical to the generator path, which ``tests/spread``
+enforces against an all-generator reference run.
+
+**Observed like any op.**  Walkers report to the causal recorder
+(:mod:`repro.obs.critpath`) exactly as ``Device.launch_kernel`` and
+``Device._copy_*_batch`` do: ``op_begin`` at the same point, the op id as
+``owner`` of every resource request, ``op_end`` right after the trace
+record; causal joins arrive through the inherited ``Process._resume``.
+Replay therefore always walks.  Per-op observers that replay declines —
+tools, the sanitizer, fault injection, a lost device (see
+:meth:`OpenMPRuntime.per_op_observer`) — keep the generator path.
 """
 
 from __future__ import annotations
@@ -44,12 +51,10 @@ class Timeline:
     """Per-program virtual-time segments for the steady-state kernel path.
 
     ``totals``/``iters``/``issue`` are per-record Python floats (exact —
-    computed with the same float64 operations the scalar cost model runs);
-    ``segments`` is the cumulative segment-boundary table (host overhead →
-    issue → kernel) kept for observability, NOT for arming delays.
+    computed with the same float64 operations the scalar cost model runs).
     """
 
-    __slots__ = ("totals", "iters", "issue", "overhead", "segments")
+    __slots__ = ("totals", "iters", "issue", "overhead")
 
     def __init__(self, totals: List[float], iters: List[float],
                  issue: List[float], overhead: float) -> None:
@@ -57,12 +62,6 @@ class Timeline:
         self.iters = iters
         self.issue = issue
         self.overhead = overhead
-        n = len(totals)
-        durations = np.column_stack([
-            np.full(n, overhead, dtype=np.float64),
-            np.asarray(issue, dtype=np.float64),
-            np.asarray(totals, dtype=np.float64)])
-        self.segments = np.cumsum(durations, axis=1)
 
 
 def kernel_timeline(rt, prog, kernel, cfg) -> Timeline:
@@ -126,7 +125,7 @@ class _Walker(Process):
     ``Process._step`` (fallback/exit tails).
     """
 
-    __slots__ = ()
+    __slots__ = ("op",)
 
     def _step(self, value: Any, exc: Optional[BaseException]) -> None:
         if self.gen is not None:
@@ -149,6 +148,20 @@ class _Walker(Process):
         sim.fused_segments += 1
         sim._schedule_fn(self._on_tick, delay)
 
+    # The causal recorder's device-op protocol, at the points where
+    # ``Device.launch_kernel``/``_copy_*_batch`` call it; ``op`` is also
+    # the ``owner`` of every resource request the walker makes.
+
+    def _op_begin(self) -> None:
+        recorder = self.sim.recorder
+        if recorder is not None:
+            self.op = recorder.op_begin(self)
+
+    def _op_end(self, event_index: Optional[int]) -> None:
+        recorder = self.sim.recorder
+        if recorder is not None:
+            recorder.op_end(self.op, self, event_index)
+
     # A finished walker stays reachable (the runtime's task registry keeps
     # every task), so however it ends — trigger, failure or abort, also at
     # the end of a fallback/exit-tail generator — it drops its payload
@@ -167,16 +180,17 @@ class _Walker(Process):
 class TimelineProc(_Walker):
     """A kernel-chunk process that walks a precomputed timeline.
 
-    Replicates ``macro._fast_kernel_body`` + ``Device.launch_kernel`` for
-    the engaged steady state (no tools, no sanitizer, no faults, no
-    recorder) phase by phase:
+    Replicates the task body of a replayed all-present kernel chunk —
+    refcount holds, ``Device.launch_kernel``, refcount releases — phase
+    by phase:
 
     0. host task overhead           (inert segment)
     1. AllOf join over waits        (interaction: event)
-    2. epoch check / refcounts, kernel issue latency  (inert segment)
+    2. epoch check / refcounts, op begin, kernel issue latency
+                                    (inert segment)
     3. device queue acquire         (interaction: resource)
     4. kernel time                  (inert segment)
-    5. functional body, release, trace, implicit-exit protocol
+    5. functional body, release, trace, op end, implicit-exit protocol
 
     Inert segments advance via one pooled engine call each
     (``sim._schedule_fn``) — same push, same position in the calendar
@@ -232,6 +246,7 @@ class TimelineProc(_Walker):
         self.env = None
         self.kenv = None
         self.held = None
+        self.op = None
         self._req = None
         self._kstart = 0.0
         self._issue_ts = 0.0
@@ -285,6 +300,7 @@ class TimelineProc(_Walker):
             self.held = held
             self.kenv = kenv
             self.dev = rt.devices[rec.device_id]
+            self._op_begin()
             self._issue_ts = sim.now
             self.phase = phase = 3
             if self.issue_lat > 0:
@@ -294,6 +310,7 @@ class TimelineProc(_Walker):
             self.phase = 4
             self._ready_ts = sim.now
             req = self.dev.queue.request(tag=self.kernel.name)
+            req.owner = self.op
             self._req = req
             self._waiting_on = req
             req.add_callback(self._resume)
@@ -326,12 +343,11 @@ class TimelineProc(_Walker):
         dev.queue.release(req)
         self._req = None
         dev.kernels_launched += 1
-        dev.trace.record(tr.KERNEL, kernel.name, lane=dev.queue.name,
-                         start=self._kstart, end=sim.now,
-                         device=rec.device_id,
-                         lo=rec.lo, hi=rec.hi, iterations=self.iters,
-                         issue=self._issue_ts, ready=self._ready_ts,
-                         **_prov_meta(self))
+        self._op_end(dev.trace.record(
+            tr.KERNEL, kernel.name, lane=dev.queue.name,
+            start=self._kstart, end=sim.now, device=rec.device_id,
+            lo=rec.lo, hi=rec.hi, iterations=self.iters,
+            issue=self._issue_ts, ready=self._ready_ts, **_prov_meta(self)))
         # Implicit exit: held refcounts usually just drop back; a count
         # hitting zero runs the full exit protocol (copy-back + release)
         # exactly as the generator body does.
@@ -393,12 +409,14 @@ class _CopyProc(_Walker):
     """Base walker for one single-section, unfused memcpy.
 
     Replaces the ``sim.process(copy_h2d(...))`` sub-process the data ops
-    spawn per section (see ``exec_ops._issue_copies``) when no observer
-    needs per-op state: no fault injector, no causal recorder, no race
-    sanitizer, no tools.  Every resource request/release, every timed
-    segment and the final trace record happen in the order and at the
-    virtual times of ``Device._copy_h2d_batch``/``_copy_d2h_batch``, so
-    traces and ``virtual_s`` are bit-identical either way.
+    spawn per section (see ``exec_ops._issue_copies``) unless a per-op
+    observer replay declines for (tools, sanitizer, faults, lost device)
+    is present or the device sits behind an inter-node network link.
+    Every resource request/release, every timed segment, the causal
+    recorder's op begin/end and the final trace record happen in the
+    order and at the virtual times of ``Device._copy_h2d_batch``/
+    ``_copy_d2h_batch``, so traces and ``virtual_s`` are bit-identical
+    either way.
     """
 
     __slots__ = ("dev", "src", "sk", "dst", "dk", "cost", "phase",
@@ -440,6 +458,7 @@ class _CopyProc(_Walker):
         self.dk = dk
         self.cost = None
         self.phase = 0
+        self.op = None
         self._queue_req = None
         self._staging_req = None
         self._link_req = None
@@ -451,6 +470,25 @@ class _CopyProc(_Walker):
         self._wire_end = 0.0
         sim._schedule_fn(self._start)
         return self
+
+    def _begin(self) -> None:
+        """Phase 0 prologue: the recorder's op begin, the transfer cost,
+        the issue timestamp and the issue-time stream-slot claim."""
+        dev = self.dev
+        self._op_begin()
+        self.cost = dev.cost_model.transfer(dev.link_spec,
+                                            self.src[self.sk].nbytes)
+        self._issue_ts = self.sim.now
+        # Stream slot claimed at issue time (see _copy_h2d_batch).
+        req = self._queue_req = dev.queue.request(tag=self.name)
+        req.owner = self.op
+
+    def _request(self, resource):
+        """Request *resource* on behalf of this op and wait for it."""
+        req = resource.request(tag=self.name)
+        req.owner = self.op
+        self._wait(req)
+        return req
 
     def _wait(self, req) -> None:
         self._waiting_on = req
@@ -464,13 +502,14 @@ class CopyH2D(_CopyProc):
     """Host-to-device copy walker (``Device._copy_h2d_batch``, one
     section, unfused):
 
-    0. cost + issue-time queue claim, per-call latency  (inert segment)
+    0. op begin, cost + issue-time queue claim, per-call latency
+                                                        (inert segment)
     1. staging acquire                                  (interaction)
     2. staging time                                     (inert segment)
     3. snapshot + staging release, queue wait           (interaction)
     4. link acquire                                     (interaction)
     5. wire time                                        (inert segment)
-    6. link release, commit, queue release, trace
+    6. link release, commit, queue release, trace, op end
     """
 
     __slots__ = ()
@@ -487,19 +526,14 @@ class CopyH2D(_CopyProc):
         dev = self.dev
         phase = self.phase
         if phase == 0:
-            cost = self.cost = dev.cost_model.transfer(
-                dev.link_spec, self.src[self.sk].nbytes)
-            self._issue_ts = sim.now
-            # Stream slot claimed at issue time (see _copy_h2d_batch).
-            self._queue_req = dev.queue.request(tag=self.name)
+            self._begin()
             self.phase = phase = 1
-            if cost.latency > 0:
-                self._arm(cost.latency)
+            if self.cost.latency > 0:
+                self._arm(self.cost.latency)
                 return
         if phase == 1:
             self.phase = 2
-            req = self._staging_req = dev.staging.request(tag=self.name)
-            self._wait(req)
+            self._staging_req = self._request(dev.staging)
             return
         if phase == 2:
             self.phase = phase = 3
@@ -530,8 +564,7 @@ class CopyH2D(_CopyProc):
         if phase == 4:
             self._cstart = sim.now
             self.phase = 5
-            req = self._link_req = dev.link.request(tag=self.name)
-            self._wait(req)
+            self._link_req = self._request(dev.link)
             return
         if phase == 5:
             self.phase = 6
@@ -556,13 +589,13 @@ class CopyH2D(_CopyProc):
         cost = self.cost
         dev.memcpy_calls += 1
         dev.h2d_bytes += cost.bytes
-        dev.trace.record(tr.H2D, self.name, lane=dev.queue.name,
-                         start=self._cstart, end=sim.now,
-                         device=dev.device_id, bytes=cost.bytes,
-                         issue=self._issue_ts, ready=self._ready_ts,
-                         wire_start=self._wire_start,
-                         wire_end=self._wire_end,
-                         fused=0, **_prov_meta(self))
+        self._op_end(dev.trace.record(
+            tr.H2D, self.name, lane=dev.queue.name,
+            start=self._cstart, end=sim.now,
+            device=dev.device_id, bytes=cost.bytes,
+            issue=self._issue_ts, ready=self._ready_ts,
+            wire_start=self._wire_start, wire_end=self._wire_end,
+            fused=0, **_prov_meta(self)))
         self.trigger(None)
 
     def _abort(self, exc: BaseException) -> None:
@@ -589,13 +622,14 @@ class CopyD2H(_CopyProc):
     """Device-to-host copy walker (``Device._copy_d2h_batch``, one
     section, unfused):
 
-    0. cost + issue-time queue claim, per-call latency  (inert segment)
+    0. op begin, cost + issue-time queue claim, per-call latency
+                                                        (inert segment)
     1. queue wait                                       (interaction)
     2. link acquire                                     (interaction)
     3. wire time                                        (inert segment)
     4. link release, snapshot, queue release, staging acquire (interaction)
     5. trailing staging time                            (inert segment)
-    6. commit, staging release, trace
+    6. commit, staging release, trace, op end
     """
 
     __slots__ = ()
@@ -612,13 +646,10 @@ class CopyD2H(_CopyProc):
         dev = self.dev
         phase = self.phase
         if phase == 0:
-            cost = self.cost = dev.cost_model.transfer(
-                dev.link_spec, self.src[self.sk].nbytes)
-            self._issue_ts = sim.now
-            self._queue_req = dev.queue.request(tag=self.name)
+            self._begin()
             self.phase = phase = 1
-            if cost.latency > 0:
-                self._arm(cost.latency)
+            if self.cost.latency > 0:
+                self._arm(self.cost.latency)
                 return
         if phase == 1:
             self._ready_ts = sim.now
@@ -633,8 +664,7 @@ class CopyD2H(_CopyProc):
         if phase == 2:
             self._cstart = sim.now
             self.phase = 3
-            req = self._link_req = dev.link.request(tag=self.name)
-            self._wait(req)
+            self._link_req = self._request(dev.link)
             return
         if phase == 3:
             self.phase = phase = 4
@@ -658,8 +688,7 @@ class CopyD2H(_CopyProc):
                 return
             dev.queue.release(queue_req)
             self.phase = 5
-            req = self._staging_req = dev.staging.request(tag=self.name)
-            self._wait(req)
+            self._staging_req = self._request(dev.staging)
             return
         if phase == 5:
             self.phase = phase = 6
@@ -682,13 +711,13 @@ class CopyD2H(_CopyProc):
         dev.d2h_bytes += cost.bytes
         # ``done`` > ``end`` for D2H: the trailing staging piece drains on
         # the host after the device queue slot is released.
-        dev.trace.record(tr.D2H, self.name, lane=dev.queue.name,
-                         start=self._cstart, end=self._wire_end,
-                         device=dev.device_id, bytes=cost.bytes,
-                         issue=self._issue_ts, ready=self._ready_ts,
-                         wire_start=self._wire_start,
-                         wire_end=self._wire_end,
-                         done=sim.now, fused=0, **_prov_meta(self))
+        self._op_end(dev.trace.record(
+            tr.D2H, self.name, lane=dev.queue.name,
+            start=self._cstart, end=self._wire_end,
+            device=dev.device_id, bytes=cost.bytes,
+            issue=self._issue_ts, ready=self._ready_ts,
+            wire_start=self._wire_start, wire_end=self._wire_end,
+            done=sim.now, fused=0, **_prov_meta(self)))
         self.trigger(None)
 
     def _abort(self, exc: BaseException) -> None:

@@ -72,7 +72,6 @@ def run_somier(impl: str, config: SomierConfig,
                taskgroup_global_drain: bool = True,
                trace: bool = True,
                plan_cache: bool = True,
-               fused_timeline: Optional[bool] = None,
                workers: Optional[int] = None,
                faults: Optional[str] = None,
                fault_seed: Optional[int] = None,
@@ -95,10 +94,6 @@ def run_somier(impl: str, config: SomierConfig,
     the program starts; if any is a :class:`MetricsTool`, its snapshot
     lands on ``SomierResult.metrics``.  ``plan_cache=False`` (CLI
     ``--no-plan-cache``) disables spread launch-plan replay.
-    ``fused_timeline=False`` (CLI ``--no-fused-timeline``) keeps replay
-    but runs every chunk as a generator process instead of a fused
-    timeline walker; None consults ``REPRO_FUSED_TIMELINE`` — see
-    :mod:`repro.sim.timeline`.
     ``workers`` (CLI ``--workers``) sizes the parallel host execution
     backend; None consults ``REPRO_WORKERS``, and 1 (the default) keeps
     the serial inline path.  Results and traces are identical either way.
@@ -129,7 +124,6 @@ def run_somier(impl: str, config: SomierConfig,
                        trace_enabled=trace or analyze is True,
                        taskgroup_global_drain=taskgroup_global_drain,
                        plan_cache=plan_cache,
-                       fused_timeline=fused_timeline,
                        workers=workers,
                        faults=faults, fault_seed=fault_seed,
                        sanitize=sanitize, analyze=analyze)

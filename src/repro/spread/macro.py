@@ -19,6 +19,9 @@ one of two ways:
   - all chunk processes of the directive are created deferred and
     scheduled with a single :meth:`Simulator.schedule_batch` heap
     transaction instead of one push per chunk;
+  - an all-present kernel chunk runs as a fused timeline walker
+    (:class:`repro.sim.timeline.TimelineProc`), a chunk with an absent map
+    as the generic ``kernel_op`` generator;
   - per-chunk bookkeeping (task-context children, taskgroup membership,
     runtime task registries) is batched after the loop.
 
@@ -32,11 +35,13 @@ one of two ways:
 launcher: same simulated clock, same trace, same event ordering.  It
 therefore only engages when nothing can observe the (deliberately skipped)
 per-op bookkeeping: no tools registered, no sanitizer, no fault injector,
-no lost devices, no reductions, and a well-formed program.  ``depend``
+no lost devices, no reductions, and a well-formed program.  The causal
+recorder does not decline replay: the walkers report op begin/end to it
+exactly as the generator path does.  ``depend``
 clauses are replayed through the real
 :class:`~repro.openmp.depend.DependTracker` with ``submit_spread``'s exact
 two-phase protocol (all chunks resolve against the pre-directive frontier,
-then register).  The fast kernel body also re-validates the environment
+then register).  The kernel walker also re-validates the environment
 epoch *at run time* (the present table can change between submit and run)
 and falls back to the generic :func:`repro.openmp.exec_ops.kernel_op`
 generator when it moved.  ``tests/spread/test_macro_replay.py`` enforces
@@ -185,20 +190,15 @@ def decline_reason(rt, prog: Optional[MacroProgram] = None,
                    reductions=()) -> Optional[str]:
     """None when replaying *prog* is observationally safe, else why not.
 
-    Tools, the sanitizer and the fault injector all observe (or perturb)
-    per-op bookkeeping replay skips; lost devices make cached resolutions
-    meaningless; reductions stage per-chunk partials replay does not
-    model; a program that failed :meth:`MacroProgram.well_formed` is
-    never replayed.
+    Per-op observers (:meth:`OpenMPRuntime.per_op_observer`: tools, the
+    sanitizer, the fault injector, lost devices) see or perturb per-op
+    bookkeeping replay skips; reductions stage per-chunk partials replay
+    does not model; a program that failed :meth:`MacroProgram.well_formed`
+    is never replayed.
     """
-    if rt.tools:
-        return "tools"
-    if rt.sanitizer is not None:
-        return "sanitizer"
-    if rt.fault_injector is not None:
-        return "faults"
-    if rt._lost_devices:
-        return "lost_device"
+    reason = rt.per_op_observer()
+    if reason is not None:
+        return reason
     if reductions:
         return "reduction"
     if prog is not None and not prog.replayable:
@@ -349,60 +349,6 @@ def _plain_body(rt, waits, opgen) -> Generator:
     return (yield from opgen)
 
 
-def _fast_kernel_body(rt, rec: MacroRecord, kernel, cfg, fuse: bool,
-                      waits, steady) -> Generator:
-    """Steady-state kernel chunk: launch directly on cached views.
-
-    Replicates ``kernel_op``'s phases for the all-present case — refcount
-    holds, launch, refcount releases — with the epoch compare standing in
-    for the per-map lookups.  If the present table changed since submit,
-    delegate to the generic op (generators are lazy, so creating it here is
-    exactly the generic launcher).  *steady* is the resolution captured at
-    submit time; everything else is fetched when the body runs.
-    """
-    sim = rt.sim
-    overhead = rt.cost_model.host_task_overhead
-    if overhead > 0:
-        yield sim.timeout(overhead)
-    if waits:
-        yield sim.all_of(waits)
-    epoch, held, kenv, _found = steady
-    env = rt.dataenvs[rec.device_id]
-    if env.epoch != epoch:
-        yield from exec_ops.kernel_op(
-            rt, rec.device_id, kernel, rec.lo, rec.hi, rec.maps,
-            launch=cfg, fuse_transfers=fuse, label=rec.label)
-        return
-    # Implicit entry: everything present, so no alloc sync, no copies —
-    # just the refcount holds the generic op's enter would take.
-    for _clause, _interval, entry in held:
-        entry.refcount += 1
-    dev = rt.devices[rec.device_id]
-    yield from dev.launch_kernel(kernel, rec.lo, rec.hi, kenv, launch=cfg)
-    # Implicit exit: the held refcounts usually just drop back.  A count
-    # hitting zero means this directive was the last user — run the full
-    # exit protocol (copy-back + release) exactly as kernel_op does.
-    copyback = []
-    to_release = []
-    for clause, interval, entry in held:
-        if entry.refcount > 1:
-            entry.refcount -= 1
-        else:
-            entry, deleted = env.exit(clause.var, interval)
-            if deleted:
-                if clause.map_type.copies_out:
-                    copyback.append((entry.buffer,
-                                     entry.local_slice(interval),
-                                     clause.var.array, interval.as_slice(),
-                                     clause.var.name))
-                to_release.append(entry)
-    if copyback:
-        yield from exec_ops._issue_copies(rt, dev, copyback, h2d=False,
-                                          fuse=fuse, label=rec.label)
-    if to_release:
-        yield from exec_ops._release_with_sync(rt, rec.device_id, to_release)
-
-
 def _resolve_deps_compiled(prog: MacroProgram, depend):
     """Batched resolve of the program's depend clauses, or None if it has
     none.  Resolution is read-only against the pre-directive frontier (the
@@ -443,10 +389,6 @@ def replay_exec(ctx, prog: MacroProgram, kernel, cfg, fuse: bool,
     sim = rt.sim
     envs = rt.dataenvs
     depend = rt.depend
-    # Walkers skip the per-op begin/end and causal joins a recorder or
-    # join hook would observe, so fusion needs quiet on top of replay.
-    fused = (rt.fused_timeline and sim.recorder is None
-             and sim.cp_hook is None)
     tl = None
     dep_waits = _resolve_deps_compiled(prog, depend)
     procs: List[Process] = []
@@ -462,18 +404,11 @@ def replay_exec(ctx, prog: MacroProgram, kernel, cfg, fuse: bool,
         if rec.deps:
             _merge_dep_waits(waits, dep_waits[i])
         if steady[1] is not None:
-            if fused:
-                if tl is None:
-                    tl = _timeline.kernel_timeline(rt, prog, kernel, cfg)
-                proc = _timeline.TimelineProc.spawn(
-                    sim, rt, rec, kernel, cfg, fuse, waits, steady, tl, i,
-                    (directive_id, rec.chunk_index, None))
-            else:
-                gen = _fast_kernel_body(rt, rec, kernel, cfg, fuse, waits,
-                                        steady)
-                proc = Process.spawn_task(sim, gen, rec.name,
-                                          (directive_id, rec.chunk_index,
-                                           None))
+            if tl is None:
+                tl = _timeline.kernel_timeline(rt, prog, kernel, cfg)
+            proc = _timeline.TimelineProc.spawn(
+                sim, rt, rec, kernel, cfg, fuse, waits, steady, tl, i,
+                (directive_id, rec.chunk_index, None))
         else:
             gen = _plain_body(rt, waits, exec_ops.kernel_op(
                 rt, rec.device_id, kernel, rec.lo, rec.hi, rec.maps,

@@ -2,8 +2,8 @@
 machines.
 
 The contract mirrors the single-node determinism suite: on a cluster
-topology the run must stay bit-identical across host worker counts and
-with the sanitizer / causal analyzer / fused-timeline toggles flipped,
+topology the run must stay bit-identical across host worker counts, with
+the sanitizer or causal analyzer armed and on the all-generator path,
 halo traffic for devices on non-root nodes must actually cross the
 modeled network links, and a lost *node* must degrade gracefully — the
 survivors finish the run with results identical to the fault-free one,
@@ -15,6 +15,7 @@ import pytest
 
 from repro.sim.topology import MACHINE_ENV, uniform_cluster
 from repro.somier import SomierConfig, run_somier
+from tests.all_generator import all_generator
 
 CFG = SomierConfig(n=18, steps=3)
 
@@ -110,7 +111,7 @@ class TestClusterBitIdentity:
         monkeypatch.delenv("REPRO_SANITIZE", raising=False)
         base = run()
         assert base.stats["macro_replays"] > 0
-        assert_bit_identical(base, run(fused_timeline=False))
+        assert_bit_identical(base, run(**all_generator()))
         assert_bit_identical(base, run(plan_cache=False))
 
 

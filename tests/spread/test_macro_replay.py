@@ -38,13 +38,13 @@ ITERS = 5
 
 @pytest.fixture(autouse=True)
 def _hermetic_knob_env(monkeypatch):
-    """Replay declines whenever a fault injector, sanitizer or analyzer is
-    armed (by design), so the engagement/counter assertions here require
-    the CI env-matrix legs (``REPRO_FAULTS``, ``REPRO_SANITIZE``,
+    """Replay declines whenever a fault injector or sanitizer is armed (by
+    design), so the engagement/counter assertions here require the CI
+    env-matrix legs (``REPRO_FAULTS``, ``REPRO_SANITIZE``,
     ``REPRO_ANALYZE``) not to leak in; the scenarios that want those hooks
     arm them explicitly."""
     for knob in ("REPRO_FAULTS", "REPRO_FAULT_SEED", "REPRO_SANITIZE",
-                 "REPRO_ANALYZE", "REPRO_FUSED_TIMELINE"):
+                 "REPRO_ANALYZE"):
         monkeypatch.delenv(knob, raising=False)
 
 
